@@ -8,7 +8,6 @@ package core
 
 import (
 	"numacs/internal/sharedscan"
-	"numacs/internal/sim"
 	"numacs/internal/trace"
 )
 
@@ -55,10 +54,6 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 		// member's overhead flow would run concurrently on its own connection
 		// thread and complete at the same instant anyway, so one flow is
 		// timing-equivalent and the whole group joins the registry together.
-		e.Sim.StartFlow(&sim.Flow{
-			Remaining: e.Costs.QueryOverheadSeconds,
-			RateCap:   1,
-			OnDone:    func() { e.Shared.SubmitGroup(ms) },
-		})
+		e.afterOverhead(func() { e.Shared.SubmitGroup(ms) })
 	}
 }

@@ -454,14 +454,19 @@ func (e *Engine) submitPipeline(strategy Strategy, homeSocket, maxFanout int, is
 			}
 		},
 	}
-	// Phase 0: fixed per-query overhead (parse/plan/session). It runs on the
-	// client's connection thread — a receiver thread outside the worker pool
-	// — so it adds latency without occupying a worker (units are seconds;
-	// the rate cap of 1 makes the flow a pure delay).
+	e.afterOverhead(p.Start)
+}
+
+// afterOverhead runs phase 0 of every statement — the fixed per-query
+// overhead (parse/plan/session) — and then calls next. The overhead runs on
+// the client's connection thread, a receiver thread outside the worker pool,
+// so it adds latency without occupying a worker (units are seconds; the rate
+// cap of 1 makes the flow a pure delay).
+func (e *Engine) afterOverhead(next func()) {
 	e.Sim.StartFlow(&sim.Flow{
 		Remaining: e.Costs.QueryOverheadSeconds,
 		RateCap:   1,
-		OnDone:    p.Start,
+		OnDone:    next,
 	})
 }
 

@@ -13,7 +13,6 @@ package core
 import (
 	"numacs/internal/plan"
 	"numacs/internal/sharedscan"
-	"numacs/internal/sim"
 	"numacs/internal/trace"
 )
 
@@ -90,12 +89,5 @@ func (e *Engine) cohortMember(q *Query, low *plan.Lowered, st *trace.Statement, 
 // then the statement joins the registry's lifecycle for its column.
 func (e *Engine) submitShared(q *Query, low *plan.Lowered, st *trace.Statement, gran int, issuedAt float64, onDone func(latency float64), release func()) {
 	m := e.cohortMember(q, low, st, gran, issuedAt, onDone, release)
-	// Phase 0: the same fixed per-query overhead as SubmitPipelineAt, on the
-	// client's connection thread; the statement joins its cohort only once
-	// parse/plan/session work is paid.
-	e.Sim.StartFlow(&sim.Flow{
-		Remaining: e.Costs.QueryOverheadSeconds,
-		RateCap:   1,
-		OnDone:    func() { e.Shared.Submit(m) },
-	})
+	e.afterOverhead(func() { e.Shared.Submit(m) })
 }

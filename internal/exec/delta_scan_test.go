@@ -125,3 +125,39 @@ func TestUnwrittenColumnPlansNoDeltaTasks(t *testing.T) {
 		t.Fatalf("unwritten column attributed delta/write traffic: %+v", it)
 	}
 }
+
+// TestIndexDecisionPerPredicateColumn: the index-vs-scan decision is made
+// per predicate column. With only the primary column indexed, the extra
+// predicate column must be streamed (IV bytes), not looked up through an
+// index it does not have.
+func TestIndexDecisionPerPredicateColumn(t *testing.T) {
+	env, _, traffic := deltaScanSetup(t)
+	vals := make([]int64, 20_000)
+	for i := range vals {
+		vals[i] = int64(i % 5000)
+	}
+	primary := colstore.Build("PRIMARY", vals, false)
+	primary.BuildIndex()
+	extra := colstore.Build("EXTRA", vals, false)
+	tbl := colstore.NewTable("IDX", []*colstore.Column{primary, extra})
+	placement.New(env.Machine).PlaceRR(tbl)
+
+	scan := &ScanOp{Table: tbl, Column: "PRIMARY", Selectivity: 1e-4,
+		ExtraPredicateColumns: []string{"EXTRA"}, UseIndex: true, Parallel: true}
+	done := false
+	p := &Pipeline{Env: env, Strategy: Bound, Ops: []Operator{scan},
+		OnDone: func(float64) { done = true }}
+	p.Start()
+	for i := 0; i < 200_000 && !done; i++ {
+		env.Sim.Step()
+	}
+	if !done {
+		t.Fatal("scan pipeline never drained")
+	}
+	if got := traffic["PRIMARY"]; got.DictBytes == 0 || got.IVBytes != 0 {
+		t.Fatalf("indexed primary column not looked up through its index: %+v", got)
+	}
+	if got := traffic["EXTRA"]; got.DictBytes != 0 || got.IVBytes == 0 {
+		t.Fatalf("unindexed extra predicate column not streamed: %+v", got)
+	}
+}

@@ -295,13 +295,9 @@ func (p *Pipeline) finish() {
 
 // PhaseName maps an operator to its flight-recorder phase label.
 func PhaseName(op Operator) string {
-	switch op.(type) {
+	switch op := op.(type) {
 	case *ScanOp:
-		return "scan"
-	case *SharedScanOp:
-		return "shared-scan"
-	case *WrapScanOp:
-		return "wrap-scan"
+		return op.phase()
 	case *MaterializeOp:
 		return "materialize"
 	case *AggregateOp:

@@ -31,6 +31,7 @@ package sharedscan
 
 import (
 	"fmt"
+	"math"
 
 	"numacs/internal/colstore"
 	"numacs/internal/exec"
@@ -126,7 +127,7 @@ type cohort struct {
 	key       string
 	members   []*Member
 	attachers []*Member
-	pass      *exec.SharedScanOp
+	pass      *exec.ScanOp
 	launchAt  float64
 	maxMissed float64 // largest pass fraction any attacher missed
 }
@@ -201,45 +202,7 @@ func (r *Registry) state(key string) *keyState {
 // running pass absorbs it mid-flight, anything else queues it in the
 // forming cohort for at most JoinWindow.
 func (r *Registry) Submit(m *Member) {
-	r.stats.Statements++
-	if m.Trace != nil {
-		m.Trace.MarkCohortQueued(r.sim.Now())
-	}
-	ks := r.state(m.Key)
-	if c := ks.forming; c != nil {
-		c.members = append(c.members, m)
-		if len(c.members) >= r.cfg.MaxCohort {
-			ks.forming = nil
-			r.launch(ks, c)
-		}
-		return
-	}
-	if c := ks.running; c != nil {
-		if !r.cfg.DisableAttach && len(c.members)+len(c.attachers) < r.cfg.MaxCohort {
-			if f := c.pass.Fraction(); f <= r.cfg.AttachFraction {
-				if f > c.maxMissed {
-					c.maxMissed = f
-				}
-				c.attachers = append(c.attachers, m)
-				r.stats.Attached++
-				if m.Trace != nil {
-					m.Trace.MarkAttached()
-					m.Trace.MarkCohortLaunched(r.sim.Now())
-				}
-				if r.Decisions != nil {
-					r.Decisions.Record(trace.Decision{
-						Time: r.sim.Now(), Source: "cohort", Kind: "attach", Item: m.Key, From: -1, To: -1,
-						Cause: fmt.Sprintf("running pass at %.0f%% of its bytes (attach bound %.0f%%), %d riders",
-							f*100, r.cfg.AttachFraction*100, len(c.attachers)),
-					})
-				}
-				return
-			}
-		}
-		ks.forming = &cohort{key: m.Key, members: []*Member{m}, launchAt: r.sim.Now() + r.cfg.JoinWindow}
-		return
-	}
-	r.launch(ks, &cohort{key: m.Key, members: []*Member{m}})
+	r.place(m.Key, []*Member{m})
 }
 
 // SubmitGroup routes a plan-driven cohort group into the lifecycle as one
@@ -261,30 +224,30 @@ func (r *Registry) SubmitGroup(ms []*Member) {
 	}
 	for _, key := range order {
 		g := byKey[key]
-		if len(g) == 1 {
-			r.Submit(g[0])
-			continue
+		if len(g) > 1 {
+			r.stats.PlanGrouped += uint64(len(g))
+			if r.Decisions != nil {
+				r.Decisions.Record(trace.Decision{
+					Time: r.sim.Now(), Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
+					Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
+				})
+			}
 		}
-		r.submitGroup(key, g)
+		r.place(key, g)
 	}
 }
 
-// submitGroup places one same-key group of two or more members into the
-// cohort lifecycle as a unit.
-func (r *Registry) submitGroup(key string, g []*Member) {
+// place puts a same-key group (a single statement from Submit) into the
+// cohort lifecycle as a unit: it rides the forming cohort, attaches to the
+// running pass when the whole group fits under the attach bound, or else
+// launches or queues together.
+func (r *Registry) place(key string, g []*Member) {
 	now := r.sim.Now()
 	r.stats.Statements += uint64(len(g))
-	r.stats.PlanGrouped += uint64(len(g))
 	for _, m := range g {
 		if m.Trace != nil {
 			m.Trace.MarkCohortQueued(now)
 		}
-	}
-	if r.Decisions != nil {
-		r.Decisions.Record(trace.Decision{
-			Time: now, Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
-			Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
-		})
 	}
 	ks := r.state(key)
 	if c := ks.forming; c != nil {
@@ -310,19 +273,23 @@ func (r *Registry) submitGroup(key string, g []*Member) {
 					}
 				}
 				if r.Decisions != nil {
+					cause := fmt.Sprintf("running pass at %.0f%% of its bytes (attach bound %.0f%%), %d riders",
+						f*100, r.cfg.AttachFraction*100, len(c.attachers))
+					if len(g) > 1 {
+						cause = fmt.Sprintf("plan group of %d attached at %.0f%% of the running pass (attach bound %.0f%%)",
+							len(g), f*100, r.cfg.AttachFraction*100)
+					}
 					r.Decisions.Record(trace.Decision{
-						Time: now, Source: "cohort", Kind: "attach", Item: key, From: -1, To: -1,
-						Cause: fmt.Sprintf("plan group of %d attached at %.0f%% of the running pass (attach bound %.0f%%)",
-							len(g), f*100, r.cfg.AttachFraction*100),
+						Time: now, Source: "cohort", Kind: "attach", Item: key, From: -1, To: -1, Cause: cause,
 					})
 				}
 				return
 			}
 		}
-		ks.forming = &cohort{key: key, members: append([]*Member{}, g...), launchAt: now + r.cfg.JoinWindow}
+		ks.forming = &cohort{key: key, members: append([]*Member(nil), g...), launchAt: now + r.cfg.JoinWindow}
 		return
 	}
-	r.launch(ks, &cohort{key: key, members: append([]*Member{}, g...)})
+	r.launch(ks, &cohort{key: key, members: append([]*Member(nil), g...)})
 }
 
 // Tick implements sim.Actor: shed join-window waiters whose deadline passed
@@ -395,16 +362,14 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		return
 	}
 	leader := c.members[0]
-	preds := make([]exec.SharedPred, len(c.members))
-	for i, m := range c.members {
-		preds[i] = exec.SharedPred{Selectivity: m.Selectivity}
-	}
-	c.pass = &exec.SharedScanOp{
-		Table:     leader.Table,
-		Column:    leader.Column,
-		Preds:     preds,
-		FanoutCap: summedFanout(c.members),
-		OnClosed:  func() { r.mainDone(ks, c) },
+	c.pass = &exec.ScanOp{
+		Table:       leader.Table,
+		Column:      leader.Column,
+		Selectivity: leader.Selectivity,
+		Parallel:    true,
+		Followers:   selectivities(c.members[1:]),
+		FanoutCap:   summedFanout(c.members),
+		OnClosed:    func() { r.mainDone(ks, c) },
 	}
 	r.stats.Passes++
 	if len(c.members) == 1 {
@@ -432,7 +397,7 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		HomeSocket: leader.HomeSocket,
 		IssuedAt:   leader.IssuedAt,
 		MaxFanout:  leader.MaxFanout,
-		Ops:        []exec.Operator{c.pass, leader.SecondOp(memberSource{c.pass, 0})},
+		Ops:        []exec.Operator{c.pass, leader.SecondOp(c.pass)},
 		OnDone:     leader.OnDone,
 		Trace:      leader.Trace,
 	}
@@ -451,16 +416,17 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 	if len(c.attachers) > 0 {
 		r.stats.Wraps++
 		al := c.attachers[0]
-		preds := make([]exec.SharedPred, len(c.attachers))
-		for i, m := range c.attachers {
-			preds[i] = exec.SharedPred{Selectivity: m.Selectivity}
-		}
-		wrap := &exec.WrapScanOp{
-			Table:     al.Table,
-			Column:    al.Column,
-			Fraction:  c.maxMissed,
-			Preds:     preds,
-			FanoutCap: summedFanout(c.attachers),
+		wrap := &exec.ScanOp{
+			Table:       al.Table,
+			Column:      al.Column,
+			Selectivity: al.Selectivity,
+			Parallel:    true,
+			Followers:   selectivities(c.attachers[1:]),
+			FanoutCap:   summedFanout(c.attachers),
+			// A generation that attached before the pass streamed a byte
+			// missed nothing; the smallest positive share still marks the op
+			// a wrap pass and rounds to an empty prefix.
+			Wrap: math.Max(c.maxMissed, math.SmallestNonzeroFloat64),
 		}
 		wrap.OnClosed = func() {
 			for i, m := range c.attachers[1:] {
@@ -480,7 +446,7 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 			HomeSocket: al.HomeSocket,
 			IssuedAt:   al.IssuedAt,
 			MaxFanout:  al.MaxFanout,
-			Ops:        []exec.Operator{wrap, al.SecondOp(memberSource{wrap, 0})},
+			Ops:        []exec.Operator{wrap, al.SecondOp(wrap)},
 			OnDone:     al.OnDone,
 			Trace:      al.Trace,
 		}
@@ -520,6 +486,18 @@ func (r *Registry) startFollower(m *Member, regions []exec.Region) {
 	pl.Start()
 }
 
+// selectivities returns the members' predicate selectivities (nil for none).
+func selectivities(members []*Member) []float64 {
+	if len(members) == 0 {
+		return nil
+	}
+	out := make([]float64, len(members))
+	for i, m := range members {
+		out[i] = m.Selectivity
+	}
+	return out
+}
+
 // summedFanout returns the members' combined admission fan-out budget: the
 // sum of their per-statement caps, or 0 (uncapped) when any member was
 // admitted without one.
@@ -533,13 +511,3 @@ func summedFanout(members []*Member) int {
 	}
 	return sum
 }
-
-// memberSource adapts one member's slice of a shared pass (main or wrap) to
-// the RegionSource the output operators consume.
-type memberSource struct {
-	pass interface{ MemberRegions(i int) []exec.Region }
-	i    int
-}
-
-// Regions implements exec.RegionSource.
-func (m memberSource) Regions() []exec.Region { return m.pass.MemberRegions(m.i) }

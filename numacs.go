@@ -339,9 +339,6 @@ type SharedScanRegistry = sharedscan.Registry
 // mid-flight attaches, wrap passes, join-window sheds).
 type SharedScanStats = sharedscan.Stats
 
-// SharedScanOp is the cohort find phase: one pass, N member predicates.
-type SharedScanOp = exec.SharedScanOp
-
 // FixedColumnChoice makes every client scan the same column — the
 // same-column hot-scan mix of the shared-scan experiment.
 type FixedColumnChoice = workload.FixedColumnChoice
