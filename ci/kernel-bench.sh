@@ -14,3 +14,9 @@ go test -bench '^(BenchmarkScanPositions|BenchmarkCountRange|BenchmarkMaterializ
 # The planner rides the same gate: Submit plans every statement, so a
 # Build->Optimize->Lower slowdown is a hot-path regression like any kernel.
 go test -bench '^BenchmarkPlanLower$' -benchtime=0.2s -count=3 -run '^$' ./internal/plan
+
+# The per-statement Open path: the PSM lookup every scheduling partition
+# makes, and ScanOp.Open over an RR column and a PP16 column. -benchmem puts
+# allocs/op beside ns/row in the recorded output.
+go test -bench '^BenchmarkSocketBytes$' -benchmem -benchtime=0.2s -count=3 -run '^$' ./internal/psm
+go test -bench '^BenchmarkScanOpen$' -benchmem -benchtime=0.2s -count=3 -run '^$' ./internal/exec

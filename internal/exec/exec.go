@@ -482,17 +482,20 @@ func SplitRows(from, to, n int) [][2]int {
 	return out
 }
 
+// ivWindow returns the IV byte window holding rows [from,to): the offset of
+// the word holding row from and the packed bytes of the rows, clamped to the
+// end of the IV.
+func ivWindow(col *colstore.Column, from, to int) (off, bytes int64) {
+	off = col.IVOffsetForRow(from)
+	return off, min(col.IVBytesForRows(from, to), col.IVRange.Bytes-off)
+}
+
 // IVSocketForRows returns the socket backing the majority of the IV bytes of
 // rows [from,to).
 func IVSocketForRows(col *colstore.Column, from, to int) int {
-	offFrom := col.IVOffsetForRow(from)
-	offTo := offFrom + col.IVBytesForRows(from, to)
-	if offTo > col.IVRange.Bytes {
-		offTo = col.IVRange.Bytes
-	}
-	bytes := col.IVPSM.SocketBytes(col.IVRange, offFrom, offTo-offFrom)
+	off, n := ivWindow(col, from, to)
 	best, bestB := -1, int64(0)
-	for s, b := range bytes {
+	for s, b := range col.IVPSM.SocketBytes(col.IVRange, off, n) {
 		if b > bestB {
 			best, bestB = s, b
 		}

@@ -38,8 +38,10 @@ func TestAffinityFor(t *testing.T) {
 }
 
 // testEnv builds a bare Env over a fresh 4-socket machine.
-func testEnv() *Env {
-	m := topology.FourSocketIvyBridge()
+func testEnv() *Env { return testEnvOn(topology.FourSocketIvyBridge()) }
+
+// testEnvOn builds a bare Env over the machine.
+func testEnvOn(m *topology.Machine) *Env {
 	s := sim.New(20e-6)
 	h := hw.New(s, m)
 	c := metrics.New(m.Sockets)

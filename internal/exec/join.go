@@ -109,11 +109,7 @@ func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, 
 	cyclesPerRow, accessesPerRow, byteFrac float64, htWeights []float64, onDone func()) {
 
 	src := w.Socket()
-	offFrom := col.IVOffsetForRow(from)
-	bytes := col.IVBytesForRows(from, to)
-	if offFrom+bytes > col.IVRange.Bytes {
-		bytes = col.IVRange.Bytes - offFrom
-	}
+	off, bytes := ivWindow(col, from, to)
 	var perSocket []int64
 	if col.Replicated() {
 		// Stream from the replica with the most MC headroom, matching the
@@ -123,7 +119,7 @@ func (j *JoinOp) runTask(env *Env, w *sched.Worker, col *colstore.Column, from, 
 		perSocket = make([]int64, rep+1)
 		perSocket[rep] = bytes
 	} else {
-		perSocket = col.IVPSM.SocketBytes(col.IVRange, offFrom, bytes)
+		perSocket = col.IVPSM.SocketBytes(col.IVRange, off, bytes)
 	}
 	penalty := 1.0
 	if !w.Bound {

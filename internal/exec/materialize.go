@@ -15,6 +15,16 @@ type outTask struct {
 	matches int
 }
 
+// outPartition is a run of coalesced output regions: matches produced by one
+// column of one part on one socket, spread over weight fixed output regions.
+type outPartition struct {
+	col     *colstore.Column
+	part    *colstore.Part
+	socket  int
+	matches int
+	weight  int
+}
+
 // planOutput implements the output scheduling of Section 5.2, shared by
 // materialization and aggregation: the output vector is divided into one
 // fixed region per hardware context; region boundaries are resolved to the
@@ -23,7 +33,6 @@ type outTask struct {
 // correspondingly weighted number of tasks, at least one, within the
 // concurrency hint.
 func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, disableCoalesce bool) []outTask {
-	env := p.Env
 	total := 0
 	for _, reg := range regions {
 		total += reg.Matches
@@ -31,28 +40,27 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 	if total == 0 {
 		return nil
 	}
-
-	// Fixed-size output regions mapped to producing sockets.
-	nRegions := env.Machine.TotalThreads()
+	nRegions := p.Env.Machine.TotalThreads()
 	if !parallel {
 		nRegions = 1
 	}
-	type coalesced struct {
-		col     *colstore.Column
-		part    *colstore.Part
-		socket  int
-		matches int
-		weight  int
-	}
-	var parts []coalesced
+	return outputTasks(p, outputPartitions(regions, total, nRegions, disableCoalesce), parallel, project)
+}
+
+// outputPartitions maps the non-empty ones of nRegions fixed-size output
+// regions over total matches to their producing regions and coalesces
+// contiguous same-socket, same-column runs. Its cost is linear in the
+// non-empty regions: with fewer matches than regions, exactly total regions
+// are non-empty, one match each, starting at matches 0..total-1.
+func outputPartitions(regions []Region, total, nRegions int, disableCoalesce bool) []outPartition {
+	var parts []outPartition
 	ri := 0 // region cursor
 	consumed := 0
-	for i := 0; i < nRegions; i++ {
-		lo := total * i / nRegions
-		hi := total * (i + 1) / nRegions
-		m := hi - lo
-		if m == 0 {
-			continue
+	dense := total >= nRegions
+	for i, lo := 1, 0; lo < total; i++ {
+		hi := lo + 1
+		if dense {
+			hi = total * i / nRegions
 		}
 		// Advance the producing region cursor.
 		for ri < len(regions)-1 && consumed+regions[ri].Matches <= lo {
@@ -62,15 +70,20 @@ func planOutput(p *Pipeline, regions []Region, parallel bool, project []string, 
 		reg := &regions[ri]
 		if n := len(parts); !disableCoalesce && n > 0 &&
 			parts[n-1].socket == reg.Socket && parts[n-1].col == reg.Col {
-			parts[n-1].matches += m
+			parts[n-1].matches += hi - lo
 			parts[n-1].weight++
 		} else {
-			parts = append(parts, coalesced{col: reg.Col, part: reg.Part, socket: reg.Socket, matches: m, weight: 1})
+			parts = append(parts, outPartition{col: reg.Col, part: reg.Part, socket: reg.Socket, matches: hi - lo, weight: 1})
 		}
+		lo = hi
 	}
+	return parts
+}
 
-	// Distribute tasks: proportional to weight, at least one per partition,
-	// not surpassing the statement's granularity budget.
+// outputTasks distributes tasks over the coalesced partitions: proportional
+// to weight, at least one per partition, not surpassing the statement's
+// granularity budget.
+func outputTasks(p *Pipeline, parts []outPartition, parallel bool, project []string) []outTask {
 	hint := p.Hint()
 	if !parallel {
 		hint = 1

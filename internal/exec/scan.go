@@ -195,11 +195,29 @@ type scanTask struct {
 // physical-plan annotation, so EXPLAIN output and execution can never
 // disagree.
 func IndexEligible(costs *Costs, table *colstore.Table, column string, selectivity float64, useIndex bool) bool {
-	if !useIndex || selectivity > costs.IndexSelectivityThreshold {
+	return useIndex && indexEligible(costs, table.Parts[0].ColumnByName(column), selectivity)
+}
+
+// indexEligible is IndexEligible for a statement that permits index use,
+// given the predicate column of the table's first part (nil when absent).
+func indexEligible(costs *Costs, c *colstore.Column, selectivity float64) bool {
+	if selectivity > costs.IndexSelectivityThreshold {
 		return false
 	}
-	c := table.Parts[0].ColumnByName(column)
 	return c != nil && c.Idx != nil
+}
+
+// partColumns appends the named column of every part of the table to buf,
+// in part order.
+func (s *ScanOp) partColumns(name string, buf []*colstore.Column) []*colstore.Column {
+	for _, part := range s.Table.Parts {
+		c := part.ColumnByName(name)
+		if c == nil {
+			panic(fmt.Sprintf("exec: no column %s", name))
+		}
+		buf = append(buf, c)
+	}
+	return buf
 }
 
 // addRegion appends one region to every member's layout and returns its
@@ -228,10 +246,18 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 		s.followers = append(s.followers, nil)
 	}
 	s.bytesTotal, s.bytesDone = 0, 0
-	// One MC-load snapshot per plan: every replica-socket decision of this
-	// statement sees the same instant (recomputing per column would walk all
-	// active flows repeatedly for no added signal).
-	mcLoad := env.MCLoad()
+	// One MC-load snapshot per plan, taken when the first replicated column
+	// is planned: every replica-socket decision of this statement sees the
+	// same instant (recomputing per column would walk all active flows
+	// repeatedly for no added signal), and unreplicated columns, which
+	// ignore the load, take none.
+	var mcLoad []float64
+	replicaLoad := func() []float64 {
+		if mcLoad == nil {
+			mcLoad = env.MCLoad()
+		}
+		return mcLoad
+	}
 	// The parallel fan-out budget: the statement's concurrency hint, or the
 	// cohort's combined budget for a shared pass, split across the parts.
 	budget := p.Hint()
@@ -243,29 +269,23 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	}
 
 	var tasks []scanTask
-	plan := func(colName string, track bool) {
-		useIndex := IndexEligible(env.Costs, s.Table, colName, s.Selectivity, s.UseIndex)
-		if !s.Parallel && !useIndex && s.Table.NumParts() > 1 {
-			cols := make([]*colstore.Column, 0, s.Table.NumParts())
+	// plan emits the main-store find tasks of one predicate column, given
+	// its column in every part.
+	plan := func(cols []*colstore.Column, track bool) {
+		useIndex := s.UseIndex && indexEligible(env.Costs, cols[0], s.Selectivity)
+		if !s.Parallel && !useIndex && len(cols) > 1 {
 			rows := 0
-			for _, part := range s.Table.Parts {
-				c := part.ColumnByName(colName)
-				if c == nil {
-					panic(fmt.Sprintf("exec: no column %s", colName))
-				}
-				cols = append(cols, c)
+			for _, c := range cols {
 				rows += c.Rows
 			}
 			socket := cols[0].IVPSM.MajoritySocket()
 			region := s.addRegion(track, cols[0], s.Table.Parts[0], socket)
-			tasks = append(tasks, scanTask{col: cols[0], to: rows, region: region, socket: socket, allCols: cols})
+			allCols := append([]*colstore.Column(nil), cols...)
+			tasks = append(tasks, scanTask{col: cols[0], to: rows, region: region, socket: socket, allCols: allCols})
 			return
 		}
-		for _, part := range s.Table.Parts {
-			col := part.ColumnByName(colName)
-			if col == nil {
-				panic(fmt.Sprintf("exec: no column %s", colName))
-			}
+		for i, part := range s.Table.Parts {
+			col := cols[i]
 			if useIndex || !s.Parallel {
 				// One task per part: an index lookup on the IX's own socket,
 				// or a single scan task on the IV majority socket. On a
@@ -279,7 +299,7 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 					socket = col.IVPSM.MajoritySocket()
 				}
 				if col.Replicated() {
-					socket = leastLoadedSocket(col.ReplicaSockets, mcLoad)
+					socket = leastLoadedSocket(col.ReplicaSockets, replicaLoad())
 				}
 				region := s.addRegion(track, col, part, socket)
 				tasks = append(tasks, scanTask{col: col, to: col.Rows, region: region, socket: socket, index: useIndex})
@@ -290,7 +310,11 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 			// replicated column) so each task's range lies wholly in one
 			// partition. Replica slices are weighted by current MC
 			// utilization so loaded sockets receive less of the fan-out.
-			parts := PartitionsWeighted(col, mcLoad)
+			var load []float64
+			if col.Replicated() {
+				load = replicaLoad()
+			}
+			parts := PartitionsWeighted(col, load)
 			per := TasksPerPartition(budget, len(parts))
 			for _, pr := range parts {
 				region := s.addRegion(track, col, part, pr.Socket)
@@ -313,10 +337,10 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 	// uncompressed rows from the fragment's own socket. A column that was
 	// never written has a nil Delta and plans nothing — the read-only path
 	// is bit-identical to a delta-free build.
-	planDelta := func(colName string, track bool) {
-		for _, part := range s.Table.Parts {
-			col := part.ColumnByName(colName)
-			if col == nil || col.Delta == nil {
+	planDelta := func(cols []*colstore.Column, track bool) {
+		for i, part := range s.Table.Parts {
+			col := cols[i]
+			if col.Delta == nil {
 				continue
 			}
 			snap := col.Delta.Snapshot()
@@ -330,12 +354,17 @@ func (s *ScanOp) Open(p *Pipeline) []Task {
 			}
 		}
 	}
-
-	plan(s.Column, true)
-	planDelta(s.Column, true)
+	// Each predicate column is resolved in every part once, for both its
+	// main-store and its delta tasks.
+	var colBuf [16]*colstore.Column
+	predicate := func(name string, track bool) {
+		cols := s.partColumns(name, colBuf[:0])
+		plan(cols, track)
+		planDelta(cols, track)
+	}
+	predicate(s.Column, true)
 	for _, extra := range s.ExtraPredicateColumns {
-		plan(extra, false)
-		planDelta(extra, false)
+		predicate(extra, false)
 	}
 
 	out := make([]Task, 0, len(tasks))
@@ -490,23 +519,19 @@ func (s *ScanOp) runScanAll(env *Env, w *sched.Worker, cols []*colstore.Column, 
 // is attributed once per member.
 func (s *ScanOp) runStream(env *Env, w *sched.Worker, col *colstore.Column, from, to int, out float64, onDone func()) {
 	n := s.members()
-	offFrom := col.IVOffsetForRow(from)
-	offTo := offFrom + col.IVBytesForRows(from, to)
-	if offTo > col.IVRange.Bytes {
-		offTo = col.IVRange.Bytes
-	}
+	off, total := ivWindow(col, from, to)
 	var perSocket []int64
 	if col.Replicated() {
 		rep := BestReplica(env, col, w.Socket())
 		perSocket = make([]int64, rep+1)
-		perSocket[rep] = offTo - offFrom
+		perSocket[rep] = total
 	} else {
-		perSocket = col.IVPSM.SocketBytes(col.IVRange, offFrom, offTo-offFrom)
+		perSocket = col.IVPSM.SocketBytes(col.IVRange, off, total)
 	}
 	src := w.Socket()
 	penalty := streamPenalty(env, w)
 	instr := env.Costs.SharedScanInstrPerByte(n)
-	outPerByte := out / float64(offTo-offFrom+1)
+	outPerByte := out / float64(total+1)
 	// Sequential flows, one per distinct source socket of the range.
 	var flows []*sim.Flow
 	for dst, bytes := range perSocket {

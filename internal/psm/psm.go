@@ -292,35 +292,63 @@ func (p *PSM) LocationOf(addr memsim.Addr) int {
 
 // SocketBytes returns the per-socket resident bytes of the subrange
 // [off, off+bytes) of r according to the PSM (page-granular: partial pages
-// count proportionally).
+// count proportionally). The result is indexed by socket and trimmed to the
+// highest socket backing any byte of the subrange ([0] when no page of it is
+// tracked; empty when bytes <= 0).
+//
+// The cost is O(log R + ranges touched): a binary search finds the first
+// range overlapping the subrange, and each overlapping range contributes
+// whole pages in one step — a plain range to its socket, an interleaved
+// range ⌊n/k⌋ pages to each of its k pattern slots plus one more to the
+// n mod k slots following its phase. The bytes of the partial first and last
+// pages outside the subrange are then taken back from the sockets owning
+// those pages.
 func (p *PSM) SocketBytes(r memsim.Range, off, bytes int64) []int64 {
-	out := make([]int64, MaxSockets)
 	if bytes <= 0 {
-		return out[:0]
+		return []int64{}
 	}
 	sub := r.Subrange(off, bytes)
-	maxSocket := 0
 	first := sub.Start.PageIndex()
-	for i := int64(0); i < sub.Pages(); i++ {
-		page := first + uint64(i)
-		s := p.LocationOf(memsim.Addr(page * memsim.PageSize))
-		if s < 0 {
-			continue
+	last := (sub.End() - 1).PageIndex()
+	head := int64(sub.Start - memsim.Addr(first*memsim.PageSize))
+	tail := int64(memsim.Addr((last+1)*memsim.PageSize) - sub.End())
+	var acc [MaxSockets]int64
+	maxSocket := 0
+	i := sort.Search(len(p.ranges), func(i int) bool { return p.ranges[i].lastPage() >= first })
+	for ; i < len(p.ranges) && p.ranges[i].firstPage <= last; i++ {
+		e := &p.ranges[i]
+		lo, hi := max(e.firstPage, first), min(e.lastPage(), last)
+		n := hi - lo + 1
+		if len(e.pattern) == 0 {
+			acc[e.socket] += int64(n) * memsim.PageSize
+			maxSocket = max(maxSocket, int(e.socket))
+		} else {
+			k := uint64(len(e.pattern))
+			whole, extra := n/k, n%k
+			slot := (lo - e.firstPage) % k // the phase
+			for x := uint64(0); x < k && x < n; x++ {
+				pages := whole
+				if x < extra {
+					pages++
+				}
+				s := e.pattern[slot]
+				acc[s] += int64(pages) * memsim.PageSize
+				maxSocket = max(maxSocket, int(s))
+				if slot++; slot == k {
+					slot = 0
+				}
+			}
 		}
-		pageStart := memsim.Addr(page * memsim.PageSize)
-		lo, hi := pageStart, pageStart+memsim.PageSize
-		if sub.Start > lo {
-			lo = sub.Start
+		if lo == first {
+			acc[e.socketOfPage(first)] -= head
 		}
-		if sub.End() < hi {
-			hi = sub.End()
-		}
-		out[s] += int64(hi - lo)
-		if s > maxSocket {
-			maxSocket = s
+		if hi == last {
+			acc[e.socketOfPage(last)] -= tail
 		}
 	}
-	return out[:maxSocket+1]
+	out := make([]int64, maxSocket+1)
+	copy(out, acc[:])
+	return out
 }
 
 // Summary returns pages per socket, indexed by socket id, trimmed to the

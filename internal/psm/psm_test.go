@@ -1,6 +1,8 @@
 package psm
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +188,101 @@ func TestSocketBytes(t *testing.T) {
 	b = p.SocketBytes(r, page, 2*page)
 	if b[0] != page || b[1] != page {
 		t.Fatalf("SocketBytes(straddle) = %v", b)
+	}
+}
+
+// socketBytesByPage is the page-by-page reference SocketBytes is checked
+// against: one LocationOf lookup per page of the subrange, each page adding
+// the bytes of it that fall inside the subrange.
+func socketBytesByPage(p *PSM, r memsim.Range, off, bytes int64) []int64 {
+	out := make([]int64, MaxSockets)
+	if bytes <= 0 {
+		return out[:0]
+	}
+	sub := r.Subrange(off, bytes)
+	maxSocket := 0
+	first := sub.Start.PageIndex()
+	for i := int64(0); i < sub.Pages(); i++ {
+		page := first + uint64(i)
+		s := p.LocationOf(memsim.Addr(page * memsim.PageSize))
+		if s < 0 {
+			continue
+		}
+		pageStart := memsim.Addr(page * memsim.PageSize)
+		lo, hi := pageStart, pageStart+memsim.PageSize
+		if sub.Start > lo {
+			lo = sub.Start
+		}
+		if sub.End() < hi {
+			hi = sub.End()
+		}
+		out[s] += int64(hi - lo)
+		if s > maxSocket {
+			maxSocket = s
+		}
+	}
+	return out[:maxSocket+1]
+}
+
+// randomSubrange draws a non-empty subrange of r that need not be
+// page-aligned at either end.
+func randomSubrange(rng *rand.Rand, r memsim.Range) memsim.Range {
+	off := rng.Int63n(r.Bytes)
+	return r.Subrange(off, 1+rng.Int63n(r.Bytes-off))
+}
+
+// randomSockets returns a shuffled subset of 2..n of the n sockets.
+func randomSockets(rng *rand.Rand, n int) []int {
+	perm := rng.Perm(n)
+	return perm[:2+rng.Intn(n-1)]
+}
+
+// Property: the range walk of SocketBytes returns exactly what the
+// page-by-page reference returns — same bytes per socket and same slice
+// length — on PSMs with interleaved ranges over subsets of 2-8 sockets,
+// move_pages splits, removals that rotate a pattern's phase and leave
+// untracked holes, and subranges with partial first and last pages.
+func TestSocketBytesMatchesPageWalk(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sockets := 2 + rng.Intn(7)
+		a := memsim.NewAllocator(sockets)
+		var policy memsim.Policy = memsim.OnSocket(rng.Intn(sockets))
+		if rng.Intn(4) != 0 {
+			socks := randomSockets(rng, sockets)
+			policy = memsim.Interleaved{Sockets: socks, Start: rng.Intn(len(socks))}
+		}
+		r := a.Alloc(1+rng.Int63n(120*page), policy)
+		for i := rng.Intn(4); i > 0; i-- {
+			if rng.Intn(2) == 0 {
+				a.MovePages(randomSubrange(rng, r), rng.Intn(sockets))
+			} else {
+				a.InterleavePages(randomSubrange(rng, r), randomSockets(rng, sockets))
+			}
+		}
+		p := Build(a, r)
+		for i := rng.Intn(3); i > 0; i-- {
+			p.Remove(randomSubrange(rng, r))
+		}
+		if rng.Intn(3) == 0 {
+			p.MoveRange(a, randomSubrange(rng, r), rng.Intn(sockets))
+		}
+		for q := 0; q < 40; q++ {
+			off := rng.Int63n(r.Bytes + 1)
+			var bytes int64
+			switch rng.Intn(5) {
+			case 0: // empty
+			case 1: // within one page
+				bytes = min(r.Bytes-off, rng.Int63n(page))
+			default:
+				bytes = rng.Int63n(r.Bytes - off + 1)
+			}
+			got := p.SocketBytes(r, off, bytes)
+			want := socketBytesByPage(p, r, off, bytes)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: SocketBytes(off=%d, bytes=%d) = %v, want %v\n%s", seed, off, bytes, got, want, p)
+			}
+		}
 	}
 }
 
