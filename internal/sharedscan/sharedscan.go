@@ -342,7 +342,8 @@ func (r *Registry) fireSheds(expired []*Member) {
 		if r.Decisions != nil {
 			r.Decisions.Record(trace.Decision{
 				Time: now, Source: "cohort", Kind: "shed", Item: m.Key, From: -1, To: -1,
-				Cause: fmt.Sprintf("deadline %.1fms passed while waiting in the join window", m.Deadline*1e3),
+				Cause: fmt.Sprintf("statement waited %.2fms > %.2fms deadline in the join window",
+					(now-m.IssuedAt)*1e3, (m.Deadline-m.IssuedAt)*1e3),
 			})
 		}
 		if m.OnShed != nil {

@@ -9,12 +9,14 @@ package sharedscan_test
 // one slice per replica socket.
 
 import (
+	"fmt"
 	"testing"
 
 	"numacs/internal/admit"
 	"numacs/internal/core"
 	"numacs/internal/sharedscan"
 	"numacs/internal/topology"
+	"numacs/internal/trace"
 	"numacs/internal/workload"
 )
 
@@ -147,6 +149,51 @@ func TestShedWhileWaitingInJoinWindow(t *testing.T) {
 	// never lost.
 	if doneB+sheds < 2 {
 		t.Fatalf("resubmitted statement lost: done=%d sheds=%d", doneB, sheds)
+	}
+}
+
+// TestJoinWindowShedCauseReportsWait pins the cohort shed decision's cause:
+// it reports the member's wait and its class-deadline length, not the
+// absolute virtual instant the deadline fell on — a 100 us deadline shed
+// more than a second into the run must still read as a sub-millisecond wait.
+func TestJoinWindowShedCauseReportsWait(t *testing.T) {
+	e := core.NewWithStep(topology.FourSocketIvyBridge(), 1, 5e-6)
+	table := workload.Generate(*bigTable(8_000_000))
+	e.Placer.PlaceRR(table)
+	e.EnableAdmission(admit.Config{OLAPDeadline: 100e-6, InteractiveDeadline: 100e-6})
+	e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, DisableAttach: true})
+	tr := e.EnableTracing(trace.Config{})
+	const start = 1.2
+	e.Sim.Run(start)
+
+	q := func() *core.Query {
+		return &core.Query{Table: table, Column: "COL000", Selectivity: 1e-5, Parallel: true, Strategy: core.Bound}
+	}
+	e.Submit(q())
+	e.Sim.Run(start + 100e-6)
+	e.Submit(q())
+	e.Sim.Run(start + 20e-3)
+
+	sheds := 0
+	for _, d := range tr.Decisions.Events() {
+		if d.Source != "cohort" || d.Kind != "shed" {
+			continue
+		}
+		sheds++
+		if d.Time < 1 {
+			t.Fatalf("shed at %.3fs, want past 1s", d.Time)
+		}
+		var waited, deadline float64
+		if _, err := fmt.Sscanf(d.Cause, "statement waited %fms > %fms deadline", &waited, &deadline); err != nil {
+			t.Fatalf("cause %q does not report the wait and the deadline: %v", d.Cause, err)
+		}
+		if deadline != 0.1 || waited < deadline || waited > 1 {
+			t.Fatalf("cause %q: waited %vms, deadline %vms; want a sub-millisecond wait past a 0.1ms deadline",
+				d.Cause, waited, deadline)
+		}
+	}
+	if sheds == 0 {
+		t.Fatal("no join-window shed was recorded")
 	}
 }
 
