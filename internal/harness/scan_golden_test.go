@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"numacs/internal/admit"
 	"numacs/internal/colstore"
 	"numacs/internal/core"
 	"numacs/internal/exec"
@@ -35,7 +36,10 @@ type scanGolden struct {
 // mid-flight attaches and wrap passes (including a plan-driven group), and
 // contended cohorts over a column carrying delta rows, so the shared delta
 // and wrap-delta task bodies run, once with lock-step clients whose
-// attachers missed nothing. The digest covers every metrics.Counters
+// attachers missed nothing. One scenario runs the admitted statement paths
+// together: cohort scans under admission with deadlines that shed in the
+// queue and in the join window, admitted write batches, and SubmitPipeline
+// statements. The digest covers every metrics.Counters
 // field with exact float formatting and the full latency sequence (fmt's
 // %+v prints the unexported samples), the per-item traffic attribution, the
 // sharedscan.Stats, every statement span (phase labels included) and the
@@ -212,7 +216,62 @@ func scanGoldens() []scanGolden {
 				t.Fatal("no wrap pass with an empty main-store prefix ran")
 			},
 		},
+		{
+			name:   "admitted-cohort-writes",
+			digest: "e90eea7c838b1e6dff6bb52b450cae01",
+			run: func() (*core.Engine, *colstore.Table) {
+				e, table := goldenEngine(big, 5e-6)
+				e.Placer.PlaceRR(table)
+				// A concurrency limit below the client count queues statements
+				// at admission, and the 100 us deadlines shed both there and in
+				// the cohort join windows.
+				e.EnableAdmission(admit.Config{
+					MaxConcurrent: 6, OLAPDeadline: 100e-6, InteractiveDeadline: 100e-6,
+				})
+				e.EnableSharedScans(cohortConfig)
+				e.Sim.AddActor(workload.NewWriters(e, table, workload.WritersConfig{
+					Rate: 200_000, Chooser: hot, Seed: 17, Tenant: "writers",
+				}))
+				goldenPipelines(e, table, 4)
+				goldenClients(e, table, workload.ClientsConfig{
+					N: 16, Selectivity: sel, Parallel: true, Strategy: core.Target, Chooser: hot, Seed: 19,
+					Tenant: "scans",
+				}, 0.01)
+				return e, table
+			},
+			check: func(t *testing.T, e *core.Engine, table *colstore.Table) {
+				mustHaveQueries(t, e)
+				if e.Admit.TotalShed == 0 {
+					t.Fatal("admission shed no statement")
+				}
+				if st := e.Shared.Stats(); st.Shed == 0 {
+					t.Fatalf("no member was shed from a join window: %+v", st)
+				}
+				items := map[string]int{}
+				for _, s := range e.Trace.Statements() {
+					items[s.Item]++
+				}
+				if items["write"] == 0 || items["pipeline"] == 0 {
+					t.Fatalf("write or pipeline statements did not run: %v", items)
+				}
+			},
+		},
 	}
+}
+
+// goldenPipelines submits n composed scan+aggregate statements through
+// SubmitPipeline, one every 2 ms from t=1 ms, over the table's second column.
+func goldenPipelines(e *core.Engine, table *colstore.Table, n int) {
+	next, i := 1e-3, 0
+	e.Sim.AddActor(sim.ActorFunc(func(now sim.Time) {
+		for i < n && next <= now {
+			scan := &exec.ScanOp{Table: table, Column: "COL001", Selectivity: 1e-3, Parallel: true}
+			agg := &exec.AggregateOp{Source: scan, BytesPerRow: 8, CyclesPerRow: 20, Parallel: true}
+			e.SubmitPipeline(core.Bound, i%e.Machine.Sockets, nil, scan, agg)
+			i++
+			next += 2e-3
+		}
+	}))
 }
 
 // goldenEngine builds a traced 4-socket engine and its synthetic table.
