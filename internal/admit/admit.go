@@ -80,7 +80,7 @@ type Statement struct {
 	// OnShed fires instead of Run when load shedding drops the statement
 	// (queue wait exceeded the class deadline). Nil is allowed.
 	OnShed func()
-	// Trace, when non-nil, is the statement's flight-recorder span: the
+	// Trace is the statement's flight-recorder span (nil when untraced): the
 	// controller stamps the admission instant onto it at dispatch and the
 	// shed instant when load shedding drops it.
 	Trace *trace.Statement
@@ -368,13 +368,10 @@ func (c *Controller) control(now float64) {
 }
 
 // DeadlineFor returns the class's shedding deadline in virtual seconds (0 =
-// none) — exported so the shared-scan cohort layer can extend the admission
-// latency contract into its join window: a statement that would blow its
-// class deadline waiting for a cohort is shed there too.
-func (c *Controller) DeadlineFor(cl Class) float64 { return c.deadline(cl) }
-
-// deadline returns the class's shedding deadline (0 = none).
-func (c *Controller) deadline(cl Class) float64 {
+// none). The shared-scan cohort layer extends it into its join window: a
+// statement that would blow its class deadline waiting for a cohort is shed
+// there too.
+func (c *Controller) DeadlineFor(cl Class) float64 {
 	if cl == Interactive {
 		return c.cfg.InteractiveDeadline
 	}
@@ -397,7 +394,7 @@ func (c *Controller) shedExpired(now float64) {
 		kept := q[:0]
 		expired = expired[:0]
 		for _, st := range q {
-			if d := c.deadline(st.Class); d > 0 && now-st.enqueued > d {
+			if d := c.DeadlineFor(st.Class); d > 0 && now-st.enqueued > d {
 				expired = append(expired, st)
 			} else {
 				kept = append(kept, st)
@@ -422,14 +419,12 @@ func (c *Controller) shed(t *tenant, st *Statement) {
 	t.stats.Shed++
 	c.TotalShed++
 	now := c.sim.Now()
-	if st.Trace != nil {
-		st.Trace.MarkShed(now, "admission")
-	}
+	st.Trace.MarkShed(now, "admission")
 	if c.Decisions != nil {
 		c.Decisions.Record(trace.Decision{
 			Time: now, Source: "admission", Kind: "shed", Item: t.stats.Name, From: -1, To: -1,
 			Cause: fmt.Sprintf("%s statement waited %.1fms > %.1fms deadline",
-				st.Class, (now-st.enqueued)*1e3, c.deadline(st.Class)*1e3),
+				st.Class, (now-st.enqueued)*1e3, c.DeadlineFor(st.Class)*1e3),
 		})
 	}
 	if st.OnShed != nil {
@@ -469,7 +464,7 @@ func (c *Controller) dispatch() {
 			return
 		}
 		st := t.pop()
-		if d := c.deadline(st.Class); d > 0 && now-st.enqueued > d {
+		if d := c.DeadlineFor(st.Class); d > 0 && now-st.enqueued > d {
 			c.shed(t, st)
 			continue
 		}
@@ -483,9 +478,7 @@ func (c *Controller) dispatch() {
 		t.stats.Admitted++
 		t.stats.Wait.Record(now - st.enqueued)
 		c.inflight++
-		if st.Trace != nil {
-			st.Trace.MarkAdmitted(now)
-		}
+		st.Trace.MarkAdmitted(now)
 		st.Run(c.GranCap(), st.enqueued, func() { c.statementDone(t, st) })
 	}
 }

@@ -6,10 +6,7 @@ package core
 // arrival timing. This is the planner's half of the sharing loop; the
 // timing half (join windows, mid-flight attach) stays in sharedscan.
 
-import (
-	"numacs/internal/sharedscan"
-	"numacs/internal/trace"
-)
+import "numacs/internal/sharedscan"
 
 // SubmitBatch submits a batch of statements that arrived together (one
 // multi-statement request, or one scheduler dispatch round). Every statement
@@ -34,19 +31,16 @@ func (e *Engine) SubmitBatch(qs []*Query) {
 	groups := make(map[string][]*sharedscan.Member)
 	var order []string
 	for _, q := range qs {
-		var st *trace.Statement
-		if e.Trace != nil {
-			st = e.Trace.StartStatement(q.Tenant, q.Class.String(), q.Table.Name+"."+q.Column, issuedAt)
-		}
+		st := e.Trace.StartStatement(q.Tenant, q.Class.String(), e.spanItem(q), issuedAt)
 		low := e.planQuery(q)
 		if !low.Shareable {
-			e.submitPipeline(q.Strategy, q.HomeSocket, 0, issuedAt, st, q.OnDone, low.Ops...)
+			e.afterOverhead(e.statement(q.Strategy, q.HomeSocket, 0, issuedAt, st, nil, q.OnDone, low.Ops...).Start)
 			continue
 		}
 		if _, ok := groups[low.ShareKey]; !ok {
 			order = append(order, low.ShareKey)
 		}
-		groups[low.ShareKey] = append(groups[low.ShareKey], e.cohortMember(q, low, st, 0, issuedAt, q.OnDone, nil))
+		groups[low.ShareKey] = append(groups[low.ShareKey], e.cohortMember(q, low, st, 0, issuedAt, nil))
 	}
 	for _, key := range order {
 		ms := groups[key]

@@ -136,7 +136,8 @@ type Engine struct {
 	// cohort, and pipeline layers, control-plane decisions land in its
 	// decision ring, and (when configured) a sampler actor records windowed
 	// counter time-series. Nil leaves every path bit-identical to the
-	// untraced engine: tracing is passive, and each hook is one nil check.
+	// untraced engine: tracing is passive, a nil tracer opens nil spans,
+	// and span methods are no-ops on nil.
 	Trace *trace.Tracer
 
 	env              *exec.Env
@@ -217,7 +218,7 @@ func (e *Engine) EnableSharedScans(cfg sharedscan.Config) *sharedscan.Registry {
 	if e.Shared != nil {
 		panic("core: shared scans already enabled")
 	}
-	r := sharedscan.New(cfg, e.env, e.Sim)
+	r := sharedscan.New(cfg, e.Sim)
 	e.Sim.AddActor(r)
 	e.Shared = r
 	if e.Trace != nil {
@@ -371,44 +372,56 @@ type Query struct {
 // wait in its tenant's queue (the wait counts toward the reported latency
 // and ages its task priority), run with a coarsened fan-out, or be shed.
 func (e *Engine) Submit(q *Query) {
-	var st *trace.Statement
-	if e.Trace != nil {
-		st = e.Trace.StartStatement(q.Tenant, q.Class.String(), q.Table.Name+"."+q.Column, e.Sim.Now())
-	}
-	if e.Admit != nil {
-		e.Admit.Submit(&admit.Statement{
-			Tenant: q.Tenant,
-			Class:  q.Class,
-			Trace:  st,
-			OnShed: q.OnShed,
-			Run: func(gran int, issuedAt float64, done func()) {
-				e.submitQuery(q, st, gran, issuedAt, done)
-			},
-		})
-		return
-	}
-	e.submitQuery(q, st, 0, e.Sim.Now(), nil)
+	admitOrRun(e, q.Tenant, q.Class, e.spanItem(q), q.OnShed, q, (*Engine).submitQuery)
 }
 
-// submitQuery builds and dispatches the query's operator pipeline with the
-// given fan-out cap and statement timestamp. release, when non-nil, frees
-// the statement's admission-concurrency slot; it runs before the query's own
-// completion (or shed) callback.
-func (e *Engine) submitQuery(q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
-	onDone := func(lat float64) {
-		if release != nil {
-			release()
-		}
-		if q.OnDone != nil {
-			q.OnDone(lat)
-		}
-	}
-	low := e.planQuery(q)
-	if e.Shared != nil && low.Shareable {
-		e.submitShared(q, low, st, gran, issuedAt, onDone, release)
+// admitOrRun is the front half of the admitted entry points (Submit,
+// SubmitWrite): it opens the statement's span, then runs the statement now
+// (uncapped, timestamped with the current instant) or, with an admission
+// controller installed, queues it under its tenant. run receives arg, the
+// span, the fan-out cap, the statement timestamp, and release, which frees
+// the admission slot (nil when the statement bypassed admission). Passing
+// arg through instead of capturing it keeps the bypass free of a closure.
+func admitOrRun[T any](e *Engine, tenant string, class admit.Class, item string, onShed func(), arg T,
+	run func(e *Engine, arg T, st *trace.Statement, gran int, issuedAt float64, release func())) {
+	st := e.Trace.StartStatement(tenant, class.String(), item, e.Sim.Now())
+	if e.Admit == nil {
+		run(e, arg, st, 0, e.Sim.Now(), nil)
 		return
 	}
-	e.submitPipeline(q.Strategy, q.HomeSocket, gran, issuedAt, st, onDone, low.Ops...)
+	e.Admit.Submit(&admit.Statement{
+		Tenant: tenant,
+		Class:  class,
+		Trace:  st,
+		OnShed: onShed,
+		Run: func(gran int, issuedAt float64, done func()) {
+			run(e, arg, st, gran, issuedAt, done)
+		},
+	})
+}
+
+// spanItem names q's span after the scanned data item (table.column). The
+// name is built only when tracing, since the concatenation allocates.
+func (e *Engine) spanItem(q *Query) string {
+	if e.Trace == nil {
+		return ""
+	}
+	return q.Table.Name + "." + q.Column
+}
+
+// submitQuery plans the query and dispatches it with the given fan-out cap
+// and statement timestamp: a shareable plan joins the cohort registry, any
+// other runs its private pipeline. release, when non-nil, frees the
+// statement's admission-concurrency slot; it runs before the query's own
+// completion (or shed) callback.
+func (e *Engine) submitQuery(q *Query, st *trace.Statement, gran int, issuedAt float64, release func()) {
+	low := e.planQuery(q)
+	if e.Shared != nil && low.Shareable {
+		m := e.cohortMember(q, low, st, gran, issuedAt, release)
+		e.afterOverhead(func() { e.Shared.Submit(m) })
+		return
+	}
+	e.afterOverhead(e.statement(q.Strategy, q.HomeSocket, gran, issuedAt, st, release, q.OnDone, low.Ops...).Start)
 }
 
 // SubmitPipeline executes composed operators as one SQL statement: the fixed
@@ -418,28 +431,21 @@ func (e *Engine) submitQuery(q *Query, st *trace.Statement, gran int, issuedAt f
 // completion latency (including the overhead) is recorded and reported via
 // onDone.
 func (e *Engine) SubmitPipeline(strategy Strategy, homeSocket int, onDone func(latency float64), ops ...exec.Operator) {
-	e.SubmitPipelineAt(strategy, homeSocket, 0, e.Sim.Now(), onDone, ops...)
+	now := e.Sim.Now()
+	st := e.Trace.StartStatement("", "", "pipeline", now)
+	e.afterOverhead(e.statement(strategy, homeSocket, 0, now, st, nil, onDone, ops...).Start)
 }
 
-// SubmitPipelineAt is SubmitPipeline with the admission controller's two
-// levers exposed: maxFanout caps every operator's task fan-out (0 =
-// uncapped), and issuedAt backdates the statement timestamp to its
-// admission-queue arrival — task priorities age with the wait, and the
-// recorded latency covers queue time, not just execution.
-func (e *Engine) SubmitPipelineAt(strategy Strategy, homeSocket, maxFanout int, issuedAt float64, onDone func(latency float64), ops ...exec.Operator) {
-	var st *trace.Statement
-	if e.Trace != nil {
-		st = e.Trace.StartStatement("", "", "pipeline", e.Sim.Now())
-	}
-	e.submitPipeline(strategy, homeSocket, maxFanout, issuedAt, st, onDone, ops...)
-}
-
-// submitPipeline is the shared pipeline-dispatch core: SubmitPipelineAt and
-// submitQuery both land here, the latter threading the statement's trace span
-// (created at Submit time, so the span covers the admission-queue wait).
-func (e *Engine) submitPipeline(strategy Strategy, homeSocket, maxFanout int, issuedAt float64, st *trace.Statement, onDone func(latency float64), ops ...exec.Operator) {
+// statement is the one place a statement is built: it counts the statement
+// as active until it completes and returns its pipeline over ops, carrying
+// the scheduling context (strategy, home socket, timestamp, fan-out cap
+// where 0 is uncapped) and the span. A cohort member's pipeline has no ops
+// yet; the registry sets them at launch. release, when non-nil, frees the
+// admission slot just before onDone fires.
+func (e *Engine) statement(strategy Strategy, homeSocket, maxFanout int, issuedAt float64, st *trace.Statement,
+	release func(), onDone func(latency float64), ops ...exec.Operator) *exec.Pipeline {
 	e.activeStatements++
-	p := &exec.Pipeline{
+	return &exec.Pipeline{
 		Env:        e.env,
 		Strategy:   strategy,
 		HomeSocket: homeSocket,
@@ -449,12 +455,14 @@ func (e *Engine) submitPipeline(strategy Strategy, homeSocket, maxFanout int, is
 		Trace:      st,
 		OnDone: func(lat float64) {
 			e.activeStatements--
+			if release != nil {
+				release()
+			}
 			if onDone != nil {
 				onDone(lat)
 			}
 		},
 	}
-	e.afterOverhead(p.Start)
 }
 
 // afterOverhead runs phase 0 of every statement — the fixed per-query

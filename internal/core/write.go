@@ -6,9 +6,9 @@ package core
 // than a scan — so they bypass the scheduler: the data-structure mutation
 // applies immediately (ApplyInsert/ApplyUpdate), and the DRAM traffic of an
 // append batch is modeled as one flow against the fragment socket's memory
-// controller (AddWriteTraffic), which is how writes contend with concurrent
-// scans. The merge runs as a background flow (StartMerge) whose completion
-// swaps in the rebuilt main via placement.MergeDelta.
+// controller (AddWriteTrafficDone), which is how writes contend with
+// concurrent scans. The merge runs as a background flow (StartMerge) whose
+// completion swaps in the rebuilt main via placement.MergeDelta.
 
 import (
 	"fmt"
@@ -30,31 +30,17 @@ import (
 // deferred, not applied-then-admitted), and the Interactive deadline can
 // shed it, in which case apply never runs.
 func (e *Engine) SubmitWrite(tenant string, onShed func(), apply func(done func())) {
-	var st *trace.Statement
-	if e.Trace != nil {
-		st = e.Trace.StartStatement(tenant, admit.Interactive.String(), "write", e.Sim.Now())
-	}
-	if e.Admit == nil {
-		apply(func() {
-			if st != nil {
-				st.MarkDone(e.Sim.Now())
-			}
-		})
-		return
-	}
-	e.Admit.Submit(&admit.Statement{
-		Tenant: tenant,
-		Class:  admit.Interactive,
-		Trace:  st,
-		OnShed: onShed,
-		Run: func(gran int, issuedAt float64, done func()) {
-			apply(func() {
-				if st != nil {
-					st.MarkDone(e.Sim.Now())
-				}
-				done()
-			})
-		},
+	admitOrRun(e, tenant, admit.Interactive, "write", onShed, apply, (*Engine).runWrite)
+}
+
+// runWrite applies a write batch; the batch's span closes, and its admission
+// slot (if any) frees, when the batch's flows drain.
+func (e *Engine) runWrite(apply func(done func()), st *trace.Statement, _ int, _ float64, release func()) {
+	apply(func() {
+		st.MarkDone(e.Sim.Now())
+		if release != nil {
+			release()
+		}
 	})
 }
 
@@ -72,7 +58,7 @@ func (e *Engine) EnsureDelta(col *colstore.Column) *delta.Delta {
 // ApplyInsert appends a new row carrying value v to the column's delta
 // fragment on the given socket (the writing client's socket — appends are
 // always local). The simulated fragment allocation grows as needed. Traffic
-// is accounted separately via AddWriteTraffic so callers can batch.
+// is accounted separately via AddWriteTrafficDone so callers can batch.
 func (e *Engine) ApplyInsert(col *colstore.Column, socket int, v int64) {
 	d := e.EnsureDelta(col)
 	d.Insert(socket, v)
@@ -89,19 +75,14 @@ func (e *Engine) ApplyUpdate(col *colstore.Column, socket, row int, v int64) {
 	e.Placer.EnsureDeltaCapacity(d.Fragment(socket))
 }
 
-// AddWriteTraffic models the DRAM traffic of `rows` delta appends into the
-// column's fragment on the given socket as one flow against that socket's
-// memory controller — writes contend with scans for the MC, which is the
-// contention the Section 7 placer's update-rate concerns are about. The
-// bytes are attributed to the item as write traffic (arming the placer's
-// write-guard).
-func (e *Engine) AddWriteTraffic(col *colstore.Column, socket, rows int) {
-	e.AddWriteTrafficDone(col, socket, rows, nil)
-}
-
-// AddWriteTrafficDone is AddWriteTraffic with a completion callback, fired
-// when the batch's flow drains (immediately for empty batches) — the hook
-// admitted write statements report their completion through.
+// AddWriteTrafficDone models the DRAM traffic of `rows` delta appends into
+// the column's fragment on the given socket as one flow against that
+// socket's memory controller — writes contend with scans for the MC, which
+// is the contention the Section 7 placer's update-rate concerns are about.
+// The bytes are attributed to the item as write traffic (arming the placer's
+// write-guard). onDone, when non-nil, fires when the flow drains
+// (immediately for empty batches) — the hook admitted write statements
+// report their completion through.
 func (e *Engine) AddWriteTrafficDone(col *colstore.Column, socket, rows int, onDone func()) {
 	if rows <= 0 {
 		if onDone != nil {

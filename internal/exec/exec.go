@@ -208,10 +208,11 @@ type Pipeline struct {
 	// without admission control).
 	MaxFanout int
 
-	// Trace, when non-nil, is the statement's flight-recorder span: the
-	// pipeline stamps each operator phase (open, first task pickup, barrier)
-	// and the completion instant onto it. Nil when tracing is disabled —
-	// every use is nil-checked, keeping the hot path cost at one comparison.
+	// Trace is the statement's flight-recorder span: the pipeline stamps
+	// each operator phase (open, first task pickup, barrier) and the
+	// completion instant onto it. Nil when tracing is disabled; the span's
+	// methods are no-ops then, and only the task-start hook, a closure, is
+	// guarded.
 	Trace *trace.Statement
 
 	pending int
@@ -239,14 +240,10 @@ func (p *Pipeline) runPhase(i int) {
 		p.finish()
 		return
 	}
-	if p.Trace != nil {
-		p.Trace.PhaseOpen(PhaseName(p.Ops[i]), p.Env.Sim.Now())
-	}
+	p.Trace.PhaseOpen(PhaseName(p.Ops[i]), p.Env.Sim.Now())
 	tasks := p.Ops[i].Open(p)
 	if len(tasks) == 0 {
-		if p.Trace != nil {
-			p.Trace.PhaseClose(p.Env.Sim.Now())
-		}
+		p.Trace.PhaseClose(p.Env.Sim.Now())
 		p.Ops[i].Close(p)
 		p.runPhase(i + 1)
 		return
@@ -274,9 +271,7 @@ func (p *Pipeline) runPhase(i int) {
 func (p *Pipeline) taskDone(i int) {
 	p.pending--
 	if p.pending == 0 {
-		if p.Trace != nil {
-			p.Trace.PhaseClose(p.Env.Sim.Now())
-		}
+		p.Trace.PhaseClose(p.Env.Sim.Now())
 		p.Ops[i].Close(p)
 		p.runPhase(i + 1)
 	}
@@ -284,9 +279,7 @@ func (p *Pipeline) taskDone(i int) {
 
 func (p *Pipeline) finish() {
 	lat := p.Env.Sim.Now() - p.IssuedAt
-	if p.Trace != nil {
-		p.Trace.MarkDone(p.Env.Sim.Now())
-	}
+	p.Trace.MarkDone(p.Env.Sim.Now())
 	p.Env.Counters.AddLatency(lat)
 	if p.OnDone != nil {
 		p.OnDone(lat)

@@ -22,7 +22,10 @@ type Lowered struct {
 	// Ops is the pipeline's operator sequence (barrier-separated phases).
 	Ops []exec.Operator
 	// Scan is the find-phase operator of a plain statement (nil for star
-	// plans); the cohort registry replaces it with a shared pass.
+	// plans). A shareable statement's Scan travels with its cohort member:
+	// the registry turns a cohort leader's into the shared pass (an
+	// attacher generation's first member's into the wrap pass), and the
+	// other members contribute its Selectivity.
 	Scan *exec.ScanOp
 	// SecondOp builds the statement's private output phase over any
 	// find-phase region source — the factory the cohort registry hands each

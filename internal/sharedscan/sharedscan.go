@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 
-	"numacs/internal/colstore"
 	"numacs/internal/exec"
 	"numacs/internal/sim"
 	"numacs/internal/trace"
@@ -61,26 +60,24 @@ type Config struct {
 }
 
 // Member is one shareable scan statement handed to the registry: the
-// predicate and placement facts of the scan, the statement's timestamps, and
-// the hooks the registry drives its lifecycle through.
+// statement itself, its planned find phase, and the hooks the registry
+// drives its lifecycle through.
 type Member struct {
 	// Key identifies the shared data item (table.column); scans with equal
 	// keys may share a pass.
 	Key string
-	// Table and Column name the scanned data.
-	Table  *colstore.Table
-	Column string
-	// Selectivity is the member's range-predicate selectivity.
-	Selectivity float64
-	// Strategy and HomeSocket mirror the statement's scheduling parameters.
-	Strategy   exec.Strategy
-	HomeSocket int
-	// MaxFanout is the statement's admission fan-out cap (0 = uncapped); the
-	// cohort's combined budget is built from the members' capped shares.
-	MaxFanout int
-	// IssuedAt is the statement timestamp: task priority and the base of the
-	// reported latency, so join-window wait counts toward both.
-	IssuedAt float64
+	// Pipeline is the statement with its Ops unset: its scheduling context
+	// (IssuedAt, the task priority and latency base, so join-window wait
+	// counts toward both; MaxFanout, the admission cap the cohort's budget
+	// sums), its completion hook, and its span, on which the registry
+	// stamps the cohort lifecycle (join-window wait, attach, launch, shed).
+	// The registry sets Ops and starts it when the member's role is known.
+	Pipeline *exec.Pipeline
+	// Scan is the member's planned find operator (plan.Lowered.Scan): a
+	// parallel, index-free, single-predicate scan of a single-part table.
+	// The registry turns a cohort leader's into the shared pass; the other
+	// members contribute only their Selectivity.
+	Scan *exec.ScanOp
 	// Deadline is the absolute virtual time after which the statement is
 	// shed instead of launched (0 = none) — the admission class deadline
 	// extended into the join window.
@@ -88,17 +85,10 @@ type Member struct {
 	// SecondOp builds the member's private output phase (materialization or
 	// aggregation) over its find-phase regions.
 	SecondOp func(src exec.RegionSource) exec.Operator
-	// OnDone fires at statement completion with the latency in seconds.
-	OnDone func(latency float64)
-	// OnShed fires instead of OnDone when the member is shed from a join
-	// window. It may reenter Submit synchronously (closed-loop clients
-	// reissue), so the registry compacts its queues before firing it.
+	// OnShed fires instead of the pipeline's OnDone when the member is shed
+	// from a join window. It may reenter Submit synchronously (closed-loop
+	// clients reissue), so the registry compacts its queues before firing it.
 	OnShed func()
-	// Trace, when non-nil, is the statement's flight-recorder span: the
-	// registry stamps the cohort lifecycle onto it (join-window wait,
-	// mid-flight attach, launch, shed) and threads it into the member's
-	// pipeline so operator phases land on the same record.
-	Trace *trace.Statement
 }
 
 // Stats counts registry outcomes for reports and tests.
@@ -124,7 +114,6 @@ type Stats struct {
 // cohort is one pass's membership: launch members (leader first), mid-flight
 // attachers, and the forming-window deadline before launch.
 type cohort struct {
-	key       string
 	members   []*Member
 	attachers []*Member
 	pass      *exec.ScanOp
@@ -144,7 +133,6 @@ type keyState struct {
 // both wirings).
 type Registry struct {
 	cfg   Config
-	env   *exec.Env
 	sim   *sim.Engine
 	byKey map[string]*keyState
 	keys  []*keyState // deterministic Tick order
@@ -156,9 +144,9 @@ type Registry struct {
 	Decisions *trace.DecisionLog
 }
 
-// New builds a registry over the engine's operator environment. Zero config
-// fields take the documented defaults.
-func New(cfg Config, env *exec.Env, se *sim.Engine) *Registry {
+// New builds a registry on the engine's simulator. Zero config fields take
+// the documented defaults.
+func New(cfg Config, se *sim.Engine) *Registry {
 	if cfg.JoinWindow == 0 {
 		cfg.JoinWindow = 1e-3
 	}
@@ -171,7 +159,7 @@ func New(cfg Config, env *exec.Env, se *sim.Engine) *Registry {
 	if cfg.MaxCohort <= 0 {
 		cfg.MaxCohort = 64
 	}
-	return &Registry{cfg: cfg, env: env, sim: se, byKey: make(map[string]*keyState)}
+	return &Registry{cfg: cfg, sim: se, byKey: make(map[string]*keyState)}
 }
 
 // Stats returns the registry outcome counters.
@@ -202,52 +190,30 @@ func (r *Registry) state(key string) *keyState {
 // running pass absorbs it mid-flight, anything else queues it in the
 // forming cohort for at most JoinWindow.
 func (r *Registry) Submit(m *Member) {
-	r.place(m.Key, []*Member{m})
+	r.SubmitGroup([]*Member{m})
 }
 
-// SubmitGroup routes a plan-driven cohort group into the lifecycle as one
-// unit: core.SubmitBatch hands it the members whose physical plans share a
-// cohort key, and the whole group lands in the same cohort without waiting
-// out a join window per member. Members of a single-element group (and
-// members whose keys differ — the registry re-groups defensively) fall back
-// to the per-statement Submit path. A group that cannot ride an existing
-// forming cohort or attach to the running pass in full launches or queues
-// together, so plan-time grouping never splits a detected common subplan.
-func (r *Registry) SubmitGroup(ms []*Member) {
-	byKey := make(map[string][]*Member)
-	var order []string
-	for _, m := range ms {
-		if _, ok := byKey[m.Key]; !ok {
-			order = append(order, m.Key)
+// SubmitGroup routes a group of members sharing one cohort key into the
+// lifecycle as a unit: core.SubmitBatch hands it the members whose physical
+// plans share a cohort key (a plan-driven group), and Submit a group of
+// one. The group rides the forming cohort, attaches to the running pass
+// when the whole group fits under the attach bound, or else launches or
+// queues together, so plan-time grouping never splits a detected common
+// subplan and no member waits out a join window for the others.
+func (r *Registry) SubmitGroup(g []*Member) {
+	key, now := g[0].Key, r.sim.Now()
+	if len(g) > 1 {
+		r.stats.PlanGrouped += uint64(len(g))
+		if r.Decisions != nil {
+			r.Decisions.Record(trace.Decision{
+				Time: now, Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
+				Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
+			})
 		}
-		byKey[m.Key] = append(byKey[m.Key], m)
 	}
-	for _, key := range order {
-		g := byKey[key]
-		if len(g) > 1 {
-			r.stats.PlanGrouped += uint64(len(g))
-			if r.Decisions != nil {
-				r.Decisions.Record(trace.Decision{
-					Time: r.sim.Now(), Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
-					Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
-				})
-			}
-		}
-		r.place(key, g)
-	}
-}
-
-// place puts a same-key group (a single statement from Submit) into the
-// cohort lifecycle as a unit: it rides the forming cohort, attaches to the
-// running pass when the whole group fits under the attach bound, or else
-// launches or queues together.
-func (r *Registry) place(key string, g []*Member) {
-	now := r.sim.Now()
 	r.stats.Statements += uint64(len(g))
 	for _, m := range g {
-		if m.Trace != nil {
-			m.Trace.MarkCohortQueued(now)
-		}
+		m.Pipeline.Trace.MarkCohortQueued(now)
 	}
 	ks := r.state(key)
 	if c := ks.forming; c != nil {
@@ -267,10 +233,8 @@ func (r *Registry) place(key string, g []*Member) {
 				c.attachers = append(c.attachers, g...)
 				r.stats.Attached += uint64(len(g))
 				for _, m := range g {
-					if m.Trace != nil {
-						m.Trace.MarkAttached()
-						m.Trace.MarkCohortLaunched(now)
-					}
+					m.Pipeline.Trace.MarkAttached()
+					m.Pipeline.Trace.MarkCohortLaunched(now)
 				}
 				if r.Decisions != nil {
 					cause := fmt.Sprintf("running pass at %.0f%% of its bytes (attach bound %.0f%%), %d riders",
@@ -286,10 +250,10 @@ func (r *Registry) place(key string, g []*Member) {
 				return
 			}
 		}
-		ks.forming = &cohort{key: key, members: append([]*Member(nil), g...), launchAt: now + r.cfg.JoinWindow}
+		ks.forming = &cohort{members: append([]*Member(nil), g...), launchAt: now + r.cfg.JoinWindow}
 		return
 	}
-	r.launch(ks, &cohort{key: key, members: append([]*Member(nil), g...)})
+	r.launch(ks, &cohort{members: append([]*Member(nil), g...)})
 }
 
 // Tick implements sim.Actor: shed join-window waiters whose deadline passed
@@ -336,14 +300,13 @@ func (r *Registry) fireSheds(expired []*Member) {
 	now := r.sim.Now()
 	for _, m := range expired {
 		r.stats.Shed++
-		if m.Trace != nil {
-			m.Trace.MarkShed(now, "join-window")
-		}
+		m.Pipeline.Trace.MarkShed(now, "join-window")
 		if r.Decisions != nil {
+			issued := m.Pipeline.IssuedAt
 			r.Decisions.Record(trace.Decision{
 				Time: now, Source: "cohort", Kind: "shed", Item: m.Key, From: -1, To: -1,
 				Cause: fmt.Sprintf("statement waited %.2fms > %.2fms deadline in the join window",
-					(now-m.IssuedAt)*1e3, (m.Deadline-m.IssuedAt)*1e3),
+					(now-issued)*1e3, (m.Deadline-issued)*1e3),
 			})
 		}
 		if m.OnShed != nil {
@@ -352,10 +315,11 @@ func (r *Registry) fireSheds(expired []*Member) {
 	}
 }
 
-// launch starts a cohort's physical pass: one pipeline owned by the leader
-// (first member) whose find phase carries every member's predicate, with the
-// leader's own output phase downstream. ks.running is set before any hook
-// can run, so reentrant submissions see a consistent registry.
+// launch starts a cohort's physical pass: the leader's (first member's)
+// pipeline, whose planned find phase becomes the pass carrying every
+// member's predicate, with the leader's own output phase downstream.
+// ks.running is set before any hook can run, so reentrant submissions see a
+// consistent registry.
 func (r *Registry) launch(ks *keyState, c *cohort) {
 	expired := r.compactExpired(c, r.sim.Now())
 	if len(c.members) == 0 {
@@ -363,15 +327,8 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 		return
 	}
 	leader := c.members[0]
-	c.pass = &exec.ScanOp{
-		Table:       leader.Table,
-		Column:      leader.Column,
-		Selectivity: leader.Selectivity,
-		Parallel:    true,
-		Followers:   selectivities(c.members[1:]),
-		FanoutCap:   summedFanout(c.members),
-		OnClosed:    func() { r.mainDone(ks, c) },
-	}
+	c.pass = pass(c.members)
+	c.pass.OnClosed = func() { r.mainDone(ks, c) }
 	r.stats.Passes++
 	if len(c.members) == 1 {
 		r.stats.Solo++
@@ -380,29 +337,17 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 	}
 	now := r.sim.Now()
 	for _, m := range c.members {
-		if m.Trace != nil {
-			m.Trace.MarkCohortLaunched(now)
-		}
+		m.Pipeline.Trace.MarkCohortLaunched(now)
 	}
 	if r.Decisions != nil {
 		r.Decisions.Record(trace.Decision{
-			Time: now, Source: "cohort", Kind: "launch", Item: c.key, From: -1, To: -1,
+			Time: now, Source: "cohort", Kind: "launch", Item: leader.Key, From: -1, To: -1,
 			Cause: fmt.Sprintf("%d members share one pass (fan-out cap %d)",
 				len(c.members), c.pass.FanoutCap),
 		})
 	}
 	ks.running = c
-	pl := &exec.Pipeline{
-		Env:        r.env,
-		Strategy:   leader.Strategy,
-		HomeSocket: leader.HomeSocket,
-		IssuedAt:   leader.IssuedAt,
-		MaxFanout:  leader.MaxFanout,
-		Ops:        []exec.Operator{c.pass, leader.SecondOp(c.pass)},
-		OnDone:     leader.OnDone,
-		Trace:      leader.Trace,
-	}
-	pl.Start()
+	start(leader, c.pass, leader.SecondOp(c.pass))
 	r.fireSheds(expired)
 }
 
@@ -412,46 +357,29 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 // — which was waiting behind this pass — launches immediately.
 func (r *Registry) mainDone(ks *keyState, c *cohort) {
 	for i, m := range c.members[1:] {
-		r.startFollower(m, c.pass.MemberRegions(i+1))
+		startFollower(m, c.pass.MemberRegions(i+1))
 	}
 	if len(c.attachers) > 0 {
 		r.stats.Wraps++
 		al := c.attachers[0]
-		wrap := &exec.ScanOp{
-			Table:       al.Table,
-			Column:      al.Column,
-			Selectivity: al.Selectivity,
-			Parallel:    true,
-			Followers:   selectivities(c.attachers[1:]),
-			FanoutCap:   summedFanout(c.attachers),
-			// A generation that attached before the pass streamed a byte
-			// missed nothing; the smallest positive share still marks the op
-			// a wrap pass and rounds to an empty prefix.
-			Wrap: math.Max(c.maxMissed, math.SmallestNonzeroFloat64),
-		}
+		wrap := pass(c.attachers)
+		// A generation that attached before the pass streamed a byte missed
+		// nothing; the smallest positive share still marks the op a wrap
+		// pass and rounds to an empty prefix.
+		wrap.Wrap = math.Max(c.maxMissed, math.SmallestNonzeroFloat64)
 		wrap.OnClosed = func() {
 			for i, m := range c.attachers[1:] {
-				r.startFollower(m, wrap.MemberRegions(i+1))
+				startFollower(m, wrap.MemberRegions(i+1))
 			}
 		}
 		if r.Decisions != nil {
 			r.Decisions.Record(trace.Decision{
-				Time: r.sim.Now(), Source: "cohort", Kind: "wrap", Item: c.key, From: -1, To: -1,
+				Time: r.sim.Now(), Source: "cohort", Kind: "wrap", Item: al.Key, From: -1, To: -1,
 				Cause: fmt.Sprintf("%d attachers re-stream the missed %.0f%% prefix",
 					len(c.attachers), c.maxMissed*100),
 			})
 		}
-		pl := &exec.Pipeline{
-			Env:        r.env,
-			Strategy:   al.Strategy,
-			HomeSocket: al.HomeSocket,
-			IssuedAt:   al.IssuedAt,
-			MaxFanout:  al.MaxFanout,
-			Ops:        []exec.Operator{wrap, al.SecondOp(wrap)},
-			OnDone:     al.OnDone,
-			Trace:      al.Trace,
-		}
-		pl.Start()
+		start(al, wrap, al.SecondOp(wrap))
 	}
 	// A newer cohort may already have replaced this one as the column's
 	// running pass (Tick launches a forming cohort when its window closes
@@ -469,46 +397,36 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 	}
 }
 
-// startFollower starts one follower statement: a pipeline whose find phase
-// is the precomputed region set (instant) and whose output phase is the
-// member's own.
-func (r *Registry) startFollower(m *Member, regions []exec.Region) {
+// startFollower starts one follower statement: its find phase is the
+// precomputed region set (instant), its output phase the member's own.
+func startFollower(m *Member, regions []exec.Region) {
 	src := &exec.StaticRegions{Rs: regions}
-	pl := &exec.Pipeline{
-		Env:        r.env,
-		Strategy:   m.Strategy,
-		HomeSocket: m.HomeSocket,
-		IssuedAt:   m.IssuedAt,
-		MaxFanout:  m.MaxFanout,
-		Ops:        []exec.Operator{src, m.SecondOp(src)},
-		OnDone:     m.OnDone,
-		Trace:      m.Trace,
-	}
-	pl.Start()
+	start(m, src, m.SecondOp(src))
 }
 
-// selectivities returns the members' predicate selectivities (nil for none).
-func selectivities(members []*Member) []float64 {
-	if len(members) == 0 {
-		return nil
-	}
-	out := make([]float64, len(members))
-	for i, m := range members {
-		out[i] = m.Selectivity
-	}
-	return out
+// start runs the member's statement pipeline over ops.
+func start(m *Member, ops ...exec.Operator) {
+	m.Pipeline.Ops = ops
+	m.Pipeline.Start()
 }
 
-// summedFanout returns the members' combined admission fan-out budget: the
-// sum of their per-statement caps, or 0 (uncapped) when any member was
-// admitted without one.
-func summedFanout(members []*Member) int {
-	sum := 0
-	for _, m := range members {
-		if m.MaxFanout <= 0 {
-			return 0
+// pass turns the first member's planned scan into the pass of a cohort or
+// attacher generation: it evaluates every member's predicate (the first
+// member's own Selectivity, then the rest as Followers) under the members'
+// combined admission fan-out budget, the sum of their per-statement caps,
+// or 0 (uncapped) when any member was admitted without one.
+func pass(ms []*Member) *exec.ScanOp {
+	s := ms[0].Scan
+	capped := true
+	for i, m := range ms {
+		if i > 0 {
+			s.Followers = append(s.Followers, m.Scan.Selectivity)
 		}
-		sum += m.MaxFanout
+		capped = capped && m.Pipeline.MaxFanout > 0
+		s.FanoutCap += m.Pipeline.MaxFanout
 	}
-	return sum
+	if !capped {
+		s.FanoutCap = 0
+	}
+	return s
 }

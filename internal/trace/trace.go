@@ -22,10 +22,13 @@
 //     experiments used to hand-roll.
 //
 // The hooks that feed the recorder live in admit, sharedscan, exec, sched,
-// adaptive, chaos, and core, and every one is a nil-checked optional field:
-// an engine without tracing enabled takes one nil check per hook site and is
-// bit-identical to the pre-trace engine (pinned by the harness golden test
-// TestTraceDisabledBitIdentical). Tracing itself is passive — it records
+// adaptive, chaos, and core. An engine without tracing has a nil *Tracer,
+// whose StartStatement returns a nil span, and every *Statement method is a
+// no-op on nil, so the statement hooks run unguarded. Call sites check for
+// nil only where the untraced path would otherwise allocate: a decision's
+// formatted cause, a task-start closure, a span's item name. An untraced
+// engine is bit-identical to the pre-trace engine (pinned by the harness
+// golden test TestTraceDisabledBitIdentical). Tracing itself is passive — it records
 // timestamps and counters but starts no flows and mutates no engine state —
 // so even an enabled recorder cannot perturb a run.
 package trace
@@ -72,8 +75,12 @@ func New(cfg Config, sockets int) *Tracer {
 
 // StartStatement opens a statement trace at the submission instant. The
 // returned record is threaded through the admission, cohort, and pipeline
-// hooks, which stamp its lifecycle as it progresses.
+// hooks, which stamp its lifecycle as it progresses. A nil tracer returns a
+// nil record.
 func (t *Tracer) StartStatement(tenant, class, item string, now float64) *Statement {
+	if t == nil {
+		return nil
+	}
 	s := &Statement{
 		ID: len(t.statements), Tenant: tenant, Class: class, Item: item,
 		Submitted: now, Admitted: now, Done: -1,
@@ -147,6 +154,8 @@ type Data struct {
 // Statement is the span record of one statement's lifecycle, timestamps in
 // virtual seconds. Admitted equals Submitted when no admission controller
 // queued the statement; Done is -1 while in flight and for shed statements.
+// A nil *Statement is the span of an untraced statement: every method is a
+// no-op on it and returns its zero value.
 type Statement struct {
 	// ID is the statement's index in submission order.
 	ID int `json:"id"`
@@ -205,36 +214,62 @@ type Phase struct {
 
 // MarkAdmitted stamps the admission instant (the admission controller's
 // dispatch hook).
-func (s *Statement) MarkAdmitted(now float64) { s.Admitted = now }
+func (s *Statement) MarkAdmitted(now float64) {
+	if s != nil {
+		s.Admitted = now
+	}
+}
 
 // MarkShed stamps a drop: by names the shedding layer.
 func (s *Statement) MarkShed(now float64, by string) {
+	if s == nil {
+		return
+	}
 	s.Shed = true
 	s.ShedAt = now
 	s.ShedBy = by
 }
 
 // MarkDone stamps completion (the pipeline's last barrier).
-func (s *Statement) MarkDone(now float64) { s.Done = now }
+func (s *Statement) MarkDone(now float64) {
+	if s != nil {
+		s.Done = now
+	}
+}
 
 // MarkCohortQueued stamps entry into the shared-scan registry's lifecycle.
-func (s *Statement) MarkCohortQueued(now float64) { s.cohortQueued = now }
+func (s *Statement) MarkCohortQueued(now float64) {
+	if s != nil {
+		s.cohortQueued = now
+	}
+}
 
 // MarkCohortLaunched stamps the cohort pass launch, closing the join wait.
-func (s *Statement) MarkCohortLaunched(now float64) { s.JoinWait = now - s.cohortQueued }
+func (s *Statement) MarkCohortLaunched(now float64) {
+	if s != nil {
+		s.JoinWait = now - s.cohortQueued
+	}
+}
 
 // MarkAttached flags a mid-flight attach to a running pass.
-func (s *Statement) MarkAttached() { s.Attached = true }
+func (s *Statement) MarkAttached() {
+	if s != nil {
+		s.Attached = true
+	}
+}
 
 // PhaseOpen starts a phase span (the pipeline's phase barrier).
 func (s *Statement) PhaseOpen(name string, now float64) {
+	if s == nil {
+		return
+	}
 	s.Phases = append(s.Phases, Phase{Name: name, Start: now, End: -1, FirstTask: -1})
 	s.open = len(s.Phases) - 1
 }
 
 // PhaseClose ends the open phase span.
 func (s *Statement) PhaseClose(now float64) {
-	if s.open >= 0 {
+	if s != nil && s.open >= 0 {
 		s.Phases[s.open].End = now
 		s.open = -1
 	}
@@ -244,6 +279,9 @@ func (s *Statement) PhaseClose(now float64) {
 // was stolen across sockets, and — for the open phase's first task — the
 // pickup instant that ends the phase's queue wait.
 func (s *Statement) TaskStart(socket int, stolen bool, now float64) {
+	if s == nil {
+		return
+	}
 	if socket >= 0 && socket < len(s.SocketTasks) {
 		s.SocketTasks[socket]++
 	}
@@ -260,12 +298,20 @@ func (s *Statement) TaskStart(socket int, stolen bool, now float64) {
 }
 
 // QueueWait returns the admission-queue wait (zero without admission).
-func (s *Statement) QueueWait() float64 { return s.Admitted - s.Submitted }
+func (s *Statement) QueueWait() float64 {
+	if s == nil {
+		return 0
+	}
+	return s.Admitted - s.Submitted
+}
 
 // SchedulerWait sums, over phases that ran tasks, the gap between the phase
 // opening and its first task pickup — the time the statement's work sat in
 // the scheduler queues.
 func (s *Statement) SchedulerWait() float64 {
+	if s == nil {
+		return 0
+	}
 	w := 0.0
 	for _, p := range s.Phases {
 		if p.FirstTask >= 0 {
@@ -278,6 +324,9 @@ func (s *Statement) SchedulerWait() float64 {
 // ExecSeconds sums the first-task-to-close spans of the phases — the time
 // the statement's work was actually executing (or draining) on workers.
 func (s *Statement) ExecSeconds() float64 {
+	if s == nil {
+		return 0
+	}
 	w := 0.0
 	for _, p := range s.Phases {
 		if p.FirstTask >= 0 && p.End >= 0 {
@@ -289,6 +338,9 @@ func (s *Statement) ExecSeconds() float64 {
 
 // Tasks returns the statement's total executed-task count.
 func (s *Statement) Tasks() int {
+	if s == nil {
+		return 0
+	}
 	n := 0
 	for _, t := range s.SocketTasks {
 		n += t

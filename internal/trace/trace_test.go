@@ -201,3 +201,35 @@ func TestTracerData(t *testing.T) {
 		t.Fatalf("sampler data not attached: %d samples", len(d.Samples))
 	}
 }
+
+// TestNilStatementIsInert pins the untraced contract the hook sites rely on:
+// a nil tracer opens nil spans, and every span method is a no-op on a nil
+// record that returns its zero value.
+func TestNilStatementIsInert(t *testing.T) {
+	var tr *Tracer
+	s := tr.StartStatement("tenant", "OLAP", "t.c0", 1.0)
+	if s != nil {
+		t.Fatalf("nil tracer opened a span: %+v", s)
+	}
+	s.MarkAdmitted(1)
+	s.MarkShed(1, "admission")
+	s.MarkDone(1)
+	s.MarkCohortQueued(1)
+	s.MarkCohortLaunched(2)
+	s.MarkAttached()
+	s.PhaseOpen("scan", 1)
+	s.TaskStart(0, true, 1)
+	s.PhaseClose(2)
+	if got := s.QueueWait(); got != 0 {
+		t.Fatalf("QueueWait = %v, want 0", got)
+	}
+	if got := s.SchedulerWait(); got != 0 {
+		t.Fatalf("SchedulerWait = %v, want 0", got)
+	}
+	if got := s.ExecSeconds(); got != 0 {
+		t.Fatalf("ExecSeconds = %v, want 0", got)
+	}
+	if got := s.Tasks(); got != 0 {
+		t.Fatalf("Tasks = %v, want 0", got)
+	}
+}
