@@ -75,8 +75,9 @@ type Member struct {
 	Pipeline *exec.Pipeline
 	// Scan is the member's planned find operator (plan.Lowered.Scan): a
 	// parallel, index-free, single-predicate scan of a single-part table.
-	// The registry turns a cohort leader's into the shared pass; the other
-	// members contribute only their Selectivity.
+	// The registry turns a cohort leader's (and an attacher generation's
+	// first member's) into the shared pass; the other members contribute
+	// only their Selectivity.
 	Scan *exec.ScanOp
 	// Deadline is the absolute virtual time after which the statement is
 	// shed instead of launched (0 = none) — the admission class deadline

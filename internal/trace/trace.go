@@ -28,9 +28,9 @@
 // nil only where the untraced path would otherwise allocate: a decision's
 // formatted cause, a task-start closure, a span's item name. An untraced
 // engine is bit-identical to the pre-trace engine (pinned by the harness
-// golden test TestTraceDisabledBitIdentical). Tracing itself is passive — it records
-// timestamps and counters but starts no flows and mutates no engine state —
-// so even an enabled recorder cannot perturb a run.
+// golden test TestTraceDisabledBitIdentical). Tracing itself is passive —
+// it records timestamps and counters but starts no flows and mutates no
+// engine state — so even an enabled recorder cannot perturb a run.
 package trace
 
 // Config tunes the recorder. The zero value is usable: New fills every zero
