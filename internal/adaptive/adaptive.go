@@ -62,12 +62,6 @@ type Config struct {
 	// ImbalanceRatio: a round triggers rebalancing when the hottest socket's
 	// served bytes exceed the coldest's by this factor.
 	ImbalanceRatio float64
-	// DominanceFraction: an item "dominates" its socket when it contributes
-	// at least this fraction of the socket's traffic — then it is
-	// replicated or partitioned rather than moved.
-	DominanceFraction float64
-	// MaxPartitions caps IVP growth (machine sockets by default).
-	MaxPartitions int
 
 	// ReplicaBudgetBytes caps the total simulated memory spent on extra
 	// column replicas (the Section 4.2 replication placement "at the
@@ -76,16 +70,6 @@ type Config struct {
 	// DefaultConfig sets DefaultReplicaBudgetBytes, a 1/16 fraction of the
 	// nominal per-socket DRAM the simulation assumes.
 	ReplicaBudgetBytes int64
-	// ReadHotFraction: an item qualifies for replication only when its
-	// scan + dictionary read bytes are at least this fraction of its total
-	// attributed traffic (replication suits read-mostly items; a column
-	// whose traffic is dominated by output writes gains nothing from extra
-	// read copies).
-	ReadHotFraction float64
-	// ReplicaCooldown is the virtual-time window after a move/repartition
-	// of a column during which it is not replicated (no replication on top
-	// of fresh repartition churn). Zero defaults to 2x Period.
-	ReplicaCooldown float64
 	// StaleReplicaFraction: in the balanced branch, an extra replica is
 	// garbage-collected when it served less than this fraction of the
 	// column's even per-copy share over the last period — the copy no
@@ -114,6 +98,22 @@ type Config struct {
 	MergeTrafficFraction float64
 }
 
+// Fixed Figure 20 heuristics. IVP growth is capped at one partition per
+// socket, and a column is not replicated within 2*Period of a move or
+// repartition (no replication on top of fresh repartition churn).
+const (
+	// dominanceFraction: an item "dominates" its socket when it contributes
+	// at least this fraction of the socket's traffic — then it is
+	// replicated or partitioned rather than moved.
+	dominanceFraction = 0.5
+	// readHotFraction: an item qualifies for replication only when its
+	// scan + dictionary read bytes are at least this fraction of its total
+	// attributed traffic (replication suits read-mostly items; a column
+	// whose traffic is dominated by output writes gains nothing from extra
+	// read copies).
+	readHotFraction = 0.5
+)
+
 // DefaultReplicaBudgetBytes is the default replica budget: 1/16 of the
 // 4 GiB-per-socket DRAM the simulated machines nominally have. Experiments
 // that model explicit DRAM capacities (Allocator.SetCapacity) should derive
@@ -125,9 +125,7 @@ func DefaultConfig() Config {
 	return Config{
 		Period:               10e-3,
 		ImbalanceRatio:       1.4,
-		DominanceFraction:    0.5,
 		ReplicaBudgetBytes:   DefaultReplicaBudgetBytes,
-		ReadHotFraction:      0.5,
 		StaleReplicaFraction: 0.1,
 		WriteHotFraction:     0.02,
 		MergeDeltaFraction:   0.25,
@@ -190,12 +188,6 @@ func New(e *core.Engine, cat *Catalog, cfg Config) *Placer {
 	if cfg.ImbalanceRatio == 0 {
 		cfg.ImbalanceRatio = def.ImbalanceRatio
 	}
-	if cfg.DominanceFraction == 0 {
-		cfg.DominanceFraction = def.DominanceFraction
-	}
-	if cfg.ReadHotFraction == 0 {
-		cfg.ReadHotFraction = def.ReadHotFraction
-	}
 	if cfg.StaleReplicaFraction == 0 {
 		cfg.StaleReplicaFraction = def.StaleReplicaFraction
 	}
@@ -207,12 +199,6 @@ func New(e *core.Engine, cat *Catalog, cfg Config) *Placer {
 	}
 	if cfg.MergeTrafficFraction == 0 {
 		cfg.MergeTrafficFraction = def.MergeTrafficFraction
-	}
-	if cfg.MaxPartitions == 0 {
-		cfg.MaxPartitions = e.Machine.Sockets
-	}
-	if cfg.ReplicaCooldown == 0 {
-		cfg.ReplicaCooldown = 2 * cfg.Period
 	}
 	p := &Placer{
 		Engine:    e,
@@ -392,7 +378,7 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 	}
 	best := hottestTraffic.Bytes
 	alloc := p.Engine.Placer.Alloc
-	if best < p.Cfg.DominanceFraction*hotBytes && hottest.NumPartitions() == 1 {
+	if best < dominanceFraction*hotBytes && hottest.NumPartitions() == 1 {
 		// The item does not dominate the hot socket: move it wholesale to
 		// the coldest socket.
 		moved := hottest.IVPSM.MoveRange(alloc, hottest.IVRange, cold)
@@ -404,7 +390,7 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 		p.lastChurn[hottest.Name] = now
 		p.record(Action{Time: now, Kind: "move", Column: hottest.Name, From: hot, To: cold},
 			fmt.Sprintf("item served %s of hot socket %d's %s (< %.0f%% dominance): move to coldest socket %d",
-				mib(best), hot, mib(hotBytes), p.Cfg.DominanceFraction*100, cold))
+				mib(best), hot, mib(hotBytes), dominanceFraction*100, cold))
 		return
 	}
 	// The item dominates: increase its partition count, placing the new
@@ -415,7 +401,7 @@ func (p *Placer) rebalance(now float64, hot, cold int, hotBytes float64, traffic
 	// The paper's Figure 20 would pick PP for dictionary-heavy items; here
 	// such items are preferentially served by replication above.
 	nparts := hottest.NumPartitions()
-	if nparts >= p.Cfg.MaxPartitions {
+	if nparts >= p.Engine.Machine.Sockets {
 		return
 	}
 	sockets := currentIVSockets(hottest)
@@ -470,7 +456,7 @@ func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTr
 	if p.Cfg.ReplicaBudgetBytes <= 0 || col.NumPartitions() != 1 {
 		return false
 	}
-	if it == nil || it.Bytes <= 0 || it.Bytes < p.Cfg.DominanceFraction*hotBytes {
+	if it == nil || it.Bytes <= 0 || it.Bytes < dominanceFraction*hotBytes {
 		return false
 	}
 	if it.WriteBytes > 0 {
@@ -480,10 +466,10 @@ func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTr
 		// concern pricing replication out).
 		return false
 	}
-	if reads := it.IVBytes + it.DictBytes; reads < p.Cfg.ReadHotFraction*it.Bytes {
+	if reads := it.IVBytes + it.DictBytes; reads < readHotFraction*it.Bytes {
 		return false
 	}
-	if t, ok := p.lastChurn[col.Name]; ok && now-t < p.Cfg.ReplicaCooldown {
+	if t, ok := p.lastChurn[col.Name]; ok && now-t < 2*p.Cfg.Period {
 		return false
 	}
 	for _, s := range col.ReplicaSockets {
@@ -505,7 +491,7 @@ func (p *Placer) tryReplicate(now float64, col *colstore.Column, it *core.ItemTr
 	p.PagesCopied += (added + memsim.PageSize - 1) / memsim.PageSize
 	p.record(Action{Time: now, Kind: "replicate", Column: col.Name, From: hot, To: cold, Bytes: added},
 		fmt.Sprintf("read-hot item served %s of hot socket %d's %s (>= %.0f%% dominance, %.0f%% reads): replicate to cold socket %d",
-			mib(it.Bytes), hot, mib(hotBytes), p.Cfg.DominanceFraction*100,
+			mib(it.Bytes), hot, mib(hotBytes), dominanceFraction*100,
 			(it.IVBytes+it.DictBytes)/it.Bytes*100, cold))
 	return true
 }

@@ -32,9 +32,8 @@ import (
 	"fmt"
 	"math"
 
+	"numacs/internal/exec"
 	"numacs/internal/metrics"
-	"numacs/internal/sched"
-	"numacs/internal/sim"
 	"numacs/internal/trace"
 )
 
@@ -118,11 +117,10 @@ type Config struct {
 	// task-queue depth per worker exceeds it, the limit multiplicatively
 	// decreases and the statement granularity coarsens (default 2).
 	HighQueuePerWorker float64
-	// LowQueuePerWorker is the idle watermark: below it, with at least
-	// IdleWorkerFraction of the workers free, the limit additively increases
-	// and granularity refines (defaults 0.5 and 0.1).
-	LowQueuePerWorker  float64
-	IdleWorkerFraction float64
+	// LowQueuePerWorker is the idle watermark: below it, with at least a
+	// tenth of the workers free or parked, the limit additively increases
+	// and granularity refines (default 0.5).
+	LowQueuePerWorker float64
 
 	// OLAPDeadline and InteractiveDeadline are the per-class queue-wait
 	// deadlines in virtual seconds; a statement still queued past its
@@ -195,8 +193,7 @@ func (t *tenant) pop() *Statement {
 // (core.Engine.EnableAdmission does) and route statements through Submit.
 type Controller struct {
 	cfg     Config
-	sched   *sched.Scheduler
-	sim     *sim.Engine
+	env     *exec.Env
 	workers int
 
 	tenants []*tenant
@@ -211,11 +208,6 @@ type Controller struct {
 	// Trace records one ControlSample per control-loop run, for reports.
 	Trace []ControlSample
 
-	// Decisions, when non-nil, is the flight recorder's decision log: the
-	// controller records AIMD limit/granularity changes and deadline sheds
-	// with the saturation numbers that caused them.
-	Decisions *trace.DecisionLog
-
 	// TotalShed counts shed statements across tenants.
 	TotalShed uint64
 }
@@ -224,11 +216,17 @@ type Controller struct {
 // level 3 still grants a statement an eighth of the machine.
 const maxGranLevel = 3
 
-// New builds a controller over the scheduler it watches. Zero config fields
-// take the documented defaults.
-func New(cfg Config, s *sched.Scheduler, se *sim.Engine) *Controller {
+// idleWorkerFraction is the share of workers that must be free or parked,
+// beside a queue depth under LowQueuePerWorker, for the limit to grow.
+const idleWorkerFraction = 0.1
+
+// New builds a controller over the engine's scheduler. Zero config fields
+// take the documented defaults. With tracing on (env.Trace), the controller
+// records AIMD limit/granularity changes and deadline sheds, with the
+// saturation numbers that caused them, in the decision log.
+func New(cfg Config, env *exec.Env) *Controller {
 	workers := 0
-	for _, tg := range s.TGs {
+	for _, tg := range env.Sched.TGs {
 		workers += len(tg.Workers)
 	}
 	if cfg.MinConcurrent <= 0 {
@@ -258,13 +256,9 @@ func New(cfg Config, s *sched.Scheduler, se *sim.Engine) *Controller {
 	if cfg.LowQueuePerWorker <= 0 {
 		cfg.LowQueuePerWorker = 0.5
 	}
-	if cfg.IdleWorkerFraction <= 0 {
-		cfg.IdleWorkerFraction = 0.1
-	}
 	c := &Controller{
 		cfg:     cfg,
-		sched:   s,
-		sim:     se,
+		env:     env,
 		workers: workers,
 		byName:  make(map[string]int),
 		limit:   cfg.InitialConcurrent,
@@ -298,7 +292,7 @@ func (c *Controller) register(name string, weight float64) *tenant {
 func (c *Controller) Submit(st *Statement) {
 	t := c.register(st.Tenant, 1)
 	t.stats.Submitted++
-	st.enqueued = c.sim.Now()
+	st.enqueued = c.env.Sim.Now()
 	t.queue = append(t.queue, st)
 	c.dispatch()
 }
@@ -320,7 +314,7 @@ func (c *Controller) Tick(now float64) {
 // control is the elastic concurrency loop: saturation in, (limit, granLevel)
 // out, AIMD.
 func (c *Controller) control(now float64) {
-	sat := c.sched.Saturation()
+	sat := c.env.Sched.Saturation()
 	qpw := float64(sat.Queued) / float64(c.workers)
 	prevLimit, prevGran := c.limit, c.granLevel
 	switch {
@@ -339,7 +333,7 @@ func (c *Controller) control(now float64) {
 			c.granLevel++
 		}
 	case qpw < c.cfg.LowQueuePerWorker &&
-		float64(sat.Free+sat.Parked) >= c.cfg.IdleWorkerFraction*float64(c.workers):
+		float64(sat.Free+sat.Parked) >= idleWorkerFraction*float64(c.workers):
 		// Idle headroom: admit one more (true additive increase), split finer.
 		c.limit++
 		if c.limit > c.cfg.MaxConcurrent {
@@ -354,12 +348,12 @@ func (c *Controller) control(now float64) {
 		InFlight: c.inflight, QueuedStatements: c.Queued(),
 		QueuedTasks: sat.Queued, FreeWorkers: sat.Free,
 	})
-	if c.Decisions != nil && (c.limit != prevLimit || c.granLevel != prevGran) {
+	if c.env.Trace != nil && (c.limit != prevLimit || c.granLevel != prevGran) {
 		kind := "aimd-grow"
 		if c.limit < prevLimit || c.granLevel > prevGran {
 			kind = "aimd-throttle"
 		}
-		c.Decisions.Record(trace.Decision{
+		c.env.Trace.Decisions.Record(trace.Decision{
 			Time: now, Source: "admission", Kind: kind, From: -1, To: -1,
 			Cause: fmt.Sprintf("queue/worker %.2f (high %.2f, low %.2f), %d free: limit %d->%d, gran cap %d",
 				qpw, c.cfg.HighQueuePerWorker, c.cfg.LowQueuePerWorker, sat.Free, prevLimit, c.limit, c.GranCap()),
@@ -418,10 +412,10 @@ func (c *Controller) shedExpired(now float64) {
 func (c *Controller) shed(t *tenant, st *Statement) {
 	t.stats.Shed++
 	c.TotalShed++
-	now := c.sim.Now()
+	now := c.env.Sim.Now()
 	st.Trace.MarkShed(now, "admission")
-	if c.Decisions != nil {
-		c.Decisions.Record(trace.Decision{
+	if c.env.Trace != nil {
+		c.env.Trace.Decisions.Record(trace.Decision{
 			Time: now, Source: "admission", Kind: "shed", Item: t.stats.Name, From: -1, To: -1,
 			Cause: fmt.Sprintf("%s statement waited %.1fms > %.1fms deadline",
 				st.Class, (now-st.enqueued)*1e3, c.DeadlineFor(st.Class)*1e3),
@@ -437,7 +431,7 @@ func (c *Controller) shed(t *tenant, st *Statement) {
 func (c *Controller) pickTenant() *tenant {
 	var best *tenant
 	bestKey := math.Inf(1)
-	now := c.sim.Now()
+	now := c.env.Sim.Now()
 	for _, t := range c.tenants {
 		if t.backlog() == 0 {
 			continue
@@ -457,7 +451,7 @@ func (c *Controller) pickTenant() *tenant {
 // dispatch admits queued statements while concurrency slots are open,
 // shedding expired queue heads as it encounters them.
 func (c *Controller) dispatch() {
-	now := c.sim.Now()
+	now := c.env.Sim.Now()
 	for c.inflight < c.limit {
 		t := c.pickTenant()
 		if t == nil {
@@ -488,7 +482,7 @@ func (c *Controller) dispatch() {
 func (c *Controller) statementDone(t *tenant, st *Statement) {
 	c.inflight--
 	t.stats.Completed++
-	t.stats.Latency.Record(c.sim.Now() - st.enqueued)
+	t.stats.Latency.Record(c.env.Sim.Now() - st.enqueued)
 	c.dispatch()
 }
 

@@ -3,6 +3,7 @@ package admit
 import (
 	"testing"
 
+	"numacs/internal/exec"
 	"numacs/internal/hw"
 	"numacs/internal/metrics"
 	"numacs/internal/sched"
@@ -17,7 +18,7 @@ func testController(cfg Config) (*Controller, *sched.Scheduler, *sim.Engine) {
 	h := hw.New(e, m)
 	s := sched.New(h, metrics.New(m.Sockets))
 	e.AddActor(s)
-	c := New(cfg, s, e)
+	c := New(cfg, &exec.Env{Machine: m, Sim: e, HW: h, Sched: s})
 	e.AddActor(c)
 	return c, s, e
 }

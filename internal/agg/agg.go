@@ -64,16 +64,12 @@ const (
 // BWEMLConfig sizes the InfoCube tables.
 type BWEMLConfig struct {
 	RowsPerCube int
-	Cubes       int // the benchmark has 3
 	Seed        int64
 }
 
-// BWEMLCubes builds the InfoCube tables.
+// BWEMLCubes builds the benchmark's three InfoCube tables.
 func BWEMLCubes(cfg BWEMLConfig) []*colstore.Table {
-	if cfg.Cubes == 0 {
-		cfg.Cubes = 3
-	}
-	cubes := make([]*colstore.Table, cfg.Cubes)
+	cubes := make([]*colstore.Table, 3)
 	for i := range cubes {
 		ds := workload.DatasetConfig{
 			Rows:       cfg.RowsPerCube,

@@ -23,9 +23,8 @@ import (
 	"sort"
 
 	"numacs/internal/colstore"
-	"numacs/internal/hw"
+	"numacs/internal/exec"
 	"numacs/internal/placement"
-	"numacs/internal/sched"
 	"numacs/internal/trace"
 )
 
@@ -105,9 +104,9 @@ type Applied struct {
 // actor (core.Engine.EnableChaos registers it); each tick it fires every
 // event whose time has arrived, in schedule order.
 type Injector struct {
-	// HW, Sched and Placer are the substrates the faults act on.
-	HW     *hw.Hardware
-	Sched  *sched.Scheduler
+	// Env's HW and Sched, and Placer, are the substrates the faults act on;
+	// Env.Trace, when set, receives the fault decisions.
+	Env    *exec.Env
 	Placer *placement.Placer
 	// Columns lists the columns whose replicas socket faults invalidate.
 	Columns []*colstore.Column
@@ -117,19 +116,16 @@ type Injector struct {
 
 	// Applied is the log of injected faults, oldest first.
 	Applied []Applied
-
-	// Decisions, when non-nil, is the flight recorder's decision log: every
-	// injected fault is recorded with its blast radius (tasks re-placed,
-	// replicas dropped, throttle factor).
-	Decisions *trace.DecisionLog
 }
 
 // New validates a schedule and builds an injector over the given substrates.
 // It panics on an unknown kind, an out-of-range socket, or a non-positive
 // throttle factor — a bad schedule is a programming error, not a runtime
-// condition.
-func New(cfg Config, h *hw.Hardware, s *sched.Scheduler, p *placement.Placer, columns []*colstore.Column) *Injector {
-	sockets := h.Machine.Sockets
+// condition. With tracing on (env.Trace), every injected fault is recorded
+// in the decision log with its blast radius (tasks re-placed, replicas
+// dropped, throttle factor).
+func New(cfg Config, env *exec.Env, p *placement.Placer, columns []*colstore.Column) *Injector {
+	sockets := env.Machine.Sockets
 	for i, ev := range cfg.Schedule {
 		if ev.Socket < 0 || ev.Socket >= sockets {
 			panic(fmt.Sprintf("chaos: event %d: socket %d out of range [0,%d)", i, ev.Socket, sockets))
@@ -146,7 +142,7 @@ func New(cfg Config, h *hw.Hardware, s *sched.Scheduler, p *placement.Placer, co
 	}
 	schedule := append([]Event(nil), cfg.Schedule...)
 	sort.SliceStable(schedule, func(i, j int) bool { return schedule[i].At < schedule[j].At })
-	return &Injector{HW: h, Sched: s, Placer: p, Columns: columns, schedule: schedule}
+	return &Injector{Env: env, Placer: p, Columns: columns, schedule: schedule}
 }
 
 // Pending returns the number of scheduled events that have not fired yet.
@@ -165,21 +161,21 @@ func (in *Injector) apply(ev Event, now float64) {
 	a := Applied{Event: ev}
 	switch ev.Kind {
 	case SocketOffline:
-		a.TasksReplaced = in.Sched.SetSocketOnline(ev.Socket, false)
+		a.TasksReplaced = in.Env.Sched.SetSocketOnline(ev.Socket, false)
 		for _, col := range in.Columns {
 			if in.Placer.DropReplica(col, ev.Socket) > 0 {
 				a.ReplicasDropped++
 			}
 		}
 	case SocketOnline:
-		in.Sched.SetSocketOnline(ev.Socket, true)
+		in.Env.Sched.SetSocketOnline(ev.Socket, true)
 	case MCThrottle:
-		in.HW.SetMCScale(ev.Socket, ev.Factor)
+		in.Env.HW.SetMCScale(ev.Socket, ev.Factor)
 	case LinkThrottle:
-		in.HW.SetSocketLinkScale(ev.Socket, ev.Factor)
+		in.Env.HW.SetSocketLinkScale(ev.Socket, ev.Factor)
 	}
 	in.Applied = append(in.Applied, a)
-	if in.Decisions != nil {
+	if in.Env.Trace != nil {
 		cause := fmt.Sprintf("scheduled at %.1fms", ev.At*1e3)
 		switch ev.Kind {
 		case SocketOffline:
@@ -189,7 +185,7 @@ func (in *Injector) apply(ev Event, now float64) {
 			cause = fmt.Sprintf("scheduled at %.1fms: capacity scaled to %.0f%% of nominal",
 				ev.At*1e3, ev.Factor*100)
 		}
-		in.Decisions.Record(trace.Decision{
+		in.Env.Trace.Decisions.Record(trace.Decision{
 			Time: now, Source: "chaos", Kind: ev.Kind.String(),
 			Item: fmt.Sprintf("socket %d", ev.Socket), From: ev.Socket, To: ev.Socket,
 			Cause: cause,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"numacs/internal/colstore"
+	"numacs/internal/exec"
 	"numacs/internal/hw"
 	"numacs/internal/metrics"
 	"numacs/internal/placement"
@@ -12,19 +13,21 @@ import (
 	"numacs/internal/topology"
 )
 
-func testRig() (*sim.Engine, *hw.Hardware, *sched.Scheduler, *placement.Placer) {
+// testRig builds the substrates an injector acts on.
+func testRig() (*exec.Env, *placement.Placer) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(25e-6)
 	h := hw.New(e, m)
 	s := sched.New(h, metrics.New(m.Sockets))
 	e.AddActor(s)
-	return e, h, s, placement.New(m)
+	return &exec.Env{Machine: m, Sim: e, HW: h, Sched: s}, placement.New(m)
 }
 
 // Events fire when their time arrives, in order, and the log records what
 // each one did.
 func TestScheduleFiresInOrder(t *testing.T) {
-	e, h, s, p := testRig()
+	env, p := testRig()
+	e, h, s := env.Sim, env.HW, env.Sched
 	c := colstore.NewSynthetic("hot", 10000, 100, false)
 	c.Synthetic = true
 	p.PlaceColumnOnSocket(c, 0)
@@ -36,7 +39,7 @@ func TestScheduleFiresInOrder(t *testing.T) {
 		{At: 200e-6, Kind: SocketOnline, Socket: 1},
 		{At: 100e-6, Kind: SocketOffline, Socket: 1},
 		{At: 100e-6, Kind: MCThrottle, Socket: 0, Factor: 0.5},
-	}}, h, s, p, []*colstore.Column{c})
+	}}, env, p, []*colstore.Column{c})
 	e.AddActor(in)
 
 	if in.Pending() != 3 {
@@ -78,17 +81,17 @@ func TestScheduleFiresInOrder(t *testing.T) {
 
 // An empty schedule is inert: the injector never touches the engine.
 func TestEmptyScheduleIsInert(t *testing.T) {
-	e, h, s, p := testRig()
-	in := New(Config{}, h, s, p, nil)
-	e.AddActor(in)
-	e.Run(1e-3)
+	env, p := testRig()
+	in := New(Config{}, env, p, nil)
+	env.Sim.AddActor(in)
+	env.Sim.Run(1e-3)
 	if len(in.Applied) != 0 || in.Pending() != 0 {
 		t.Fatalf("empty schedule applied %d events", len(in.Applied))
 	}
 }
 
 func TestBadSchedulesPanic(t *testing.T) {
-	_, h, s, p := testRig()
+	env, p := testRig()
 	cases := []Config{
 		{Schedule: []Event{{Kind: MCThrottle, Socket: 0, Factor: 0}}},
 		{Schedule: []Event{{Kind: SocketOffline, Socket: 7}}},
@@ -101,7 +104,7 @@ func TestBadSchedulesPanic(t *testing.T) {
 					t.Fatalf("case %d: bad schedule should panic", i)
 				}
 			}()
-			New(cfg, h, s, p, nil)
+			New(cfg, env, p, nil)
 		}()
 	}
 }

@@ -201,12 +201,9 @@ func (e *Engine) EnableAdmission(cfg admit.Config) *admit.Controller {
 	if e.Admit != nil {
 		panic("core: admission already enabled")
 	}
-	c := admit.New(cfg, e.Sched, e.Sim)
+	c := admit.New(cfg, e.env)
 	e.Sim.AddActor(c)
 	e.Admit = c
-	if e.Trace != nil {
-		c.Decisions = e.Trace.Decisions
-	}
 	return c
 }
 
@@ -218,12 +215,9 @@ func (e *Engine) EnableSharedScans(cfg sharedscan.Config) *sharedscan.Registry {
 	if e.Shared != nil {
 		panic("core: shared scans already enabled")
 	}
-	r := sharedscan.New(cfg, e.Sim)
+	r := sharedscan.New(cfg, e.env)
 	e.Sim.AddActor(r)
 	e.Shared = r
-	if e.Trace != nil {
-		r.Decisions = e.Trace.Decisions
-	}
 	return r
 }
 
@@ -243,12 +237,9 @@ func (e *Engine) EnableChaos(cfg chaos.Config, tables ...*colstore.Table) *chaos
 			cols = append(cols, p.Columns...)
 		}
 	}
-	in := chaos.New(cfg, e.HW, e.Sched, e.Placer, cols)
+	in := chaos.New(cfg, e.env, e.Placer, cols)
 	e.Sim.AddActor(in)
 	e.Chaos = in
-	if e.Trace != nil {
-		in.Decisions = e.Trace.Decisions
-	}
 	return in
 }
 
@@ -257,9 +248,9 @@ func (e *Engine) EnableChaos(cfg chaos.Config, tables ...*colstore.Table) *chaos
 // AIMD steps, cohort lifecycle, chaos faults, delta merges) in a bounded ring,
 // and — when cfg.SampleInterval > 0 — a sampler actor recording windowed
 // counter deltas. It returns the tracer for export and assertions. Call it
-// once; it composes with the other Enable* calls in either order (layers
-// already enabled are attached retroactively, layers enabled later attach
-// themselves). Tracing is passive — it never starts flows or mutates engine
+// once; it composes with the other Enable* calls in either order, because
+// every decision source reads the tracer through the engine's exec.Env when
+// it records. Tracing is passive — it never starts flows or mutates engine
 // state — so a traced run is bit-identical to an untraced one (pinned by the
 // harness golden test).
 func (e *Engine) EnableTracing(cfg trace.Config) *trace.Tracer {
@@ -274,15 +265,7 @@ func (e *Engine) EnableTracing(cfg trace.Config) *trace.Tracer {
 		t.Sampler = s
 	}
 	e.Trace = t
-	if e.Admit != nil {
-		e.Admit.Decisions = t.Decisions
-	}
-	if e.Shared != nil {
-		e.Shared.Decisions = t.Decisions
-	}
-	if e.Chaos != nil {
-		e.Chaos.Decisions = t.Decisions
-	}
+	e.env.Trace = t
 	return t
 }
 

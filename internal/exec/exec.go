@@ -103,6 +103,10 @@ type Env struct {
 	// e.g. an interleaved dictionary); per-socket attribution is what lets
 	// the placer tell which replica of a replicated column earns its keep.
 	AddItemTraffic func(item string, socket int, t Traffic)
+	// Trace is the engine's flight recorder, nil when tracing is off. The
+	// control-plane layers (admission, cohorts, chaos, the placer, delta
+	// merges) record their decisions into its decision log.
+	Trace *trace.Tracer
 }
 
 // Traffic is one attribution sample for a data item: total DRAM bytes plus

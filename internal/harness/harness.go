@@ -109,9 +109,9 @@ type Spec struct {
 	Step    float64 // simulator step; zero = core.DefaultStep
 	Seed    int64
 
-	// Ablation knobs.
+	// Ablation knobs, set by the root package's BenchmarkAblation*
+	// benchmarks (bench_test.go).
 	DisableHint     bool
-	DisableSteal    bool
 	FIFOPriority    bool
 	DisableCoalesce bool
 	Costs           *core.Costs
@@ -156,9 +156,6 @@ func Run(spec Spec) Result {
 	}
 	if spec.DisableHint {
 		e.ConcurrencyHintEnabled = false
-	}
-	if spec.DisableSteal {
-		e.Sched.StealEnabled = false
 	}
 	if spec.FIFOPriority {
 		e.Sched.IgnorePriority = true

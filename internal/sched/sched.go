@@ -116,6 +116,9 @@ type ThreadGroup struct {
 // QueuedTasks returns the number of tasks waiting in both queues.
 func (tg *ThreadGroup) QueuedTasks() int { return tg.queue.Len() + tg.hardQueue.Len() }
 
+// watchdogPeriod is how often, in virtual seconds, the watchdog runs.
+const watchdogPeriod = 1e-3
+
 // Scheduler is the NUMA-aware task scheduler.
 type Scheduler struct {
 	HW       *hw.Hardware
@@ -125,16 +128,13 @@ type Scheduler struct {
 	bySocket [][]*ThreadGroup
 
 	// StealEnabled globally enables work stealing (true in the paper's
-	// scheduler; the ablation benchmarks switch it off).
+	// scheduler; only the sched package's own tests switch it off).
 	StealEnabled bool
 
 	// IgnorePriority makes the queues FIFO instead of statement-timestamp
 	// ordered — the ablation for the paper's priority scheme, which makes a
 	// query's tasks complete close together (Section 5.1).
 	IgnorePriority bool
-
-	// WatchdogPeriod is how often the watchdog actor runs.
-	WatchdogPeriod float64
 
 	nextSeq      uint64
 	lastWatchdog float64
@@ -163,10 +163,9 @@ func TGsPerSocket(sockets int) int {
 func New(h *hw.Hardware, counters *metrics.Counters) *Scheduler {
 	m := h.Machine
 	s := &Scheduler{
-		HW:             h,
-		Counters:       counters,
-		StealEnabled:   true,
-		WatchdogPeriod: 1e-3,
+		HW:           h,
+		Counters:     counters,
+		StealEnabled: true,
 	}
 	perSocket := TGsPerSocket(m.Sockets)
 	s.bySocket = make([][]*ThreadGroup, m.Sockets)
@@ -443,7 +442,7 @@ func (s *Scheduler) Tick(now float64) {
 		}
 	}
 	// Watchdog.
-	if now-s.lastWatchdog >= s.WatchdogPeriod {
+	if now-s.lastWatchdog >= watchdogPeriod {
 		s.lastWatchdog = now
 		s.watchdog()
 	}

@@ -66,7 +66,7 @@ func TestGroupQueuesBehindLateRunningPass(t *testing.T) {
 	e := core.NewWithStep(topology.FourSocketIvyBridge(), 1, 5e-6)
 	table := workload.Generate(*bigTable(8_000_000))
 	e.Placer.PlaceRR(table)
-	reg := e.EnableSharedScans(sharedscan.Config{DisableAttach: true})
+	reg := e.EnableSharedScans(sharedscan.Config{AttachFraction: -1})
 
 	leaderDone := false
 	e.Submit(&core.Query{

@@ -85,7 +85,7 @@ func runJoinWindowMergeLifecycle(t *testing.T, seed int64) {
 		Seed: 1, Synthetic: true,
 	})
 	e.Placer.PlaceRR(table)
-	reg := e.EnableSharedScans(sharedscan.Config{JoinWindow: 20e-3, DisableAttach: true})
+	reg := e.EnableSharedScans(sharedscan.Config{JoinWindow: 20e-3, AttachFraction: -1})
 
 	done := 0
 	q := func() *core.Query {
@@ -124,7 +124,7 @@ func runShedResubmitLifecycle(t *testing.T, seed int64) {
 	})
 	e.Placer.PlaceRR(table)
 	e.EnableAdmission(admit.Config{OLAPDeadline: 100e-6, InteractiveDeadline: 100e-6})
-	reg := e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, DisableAttach: true})
+	reg := e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, AttachFraction: -1})
 
 	doneA := false
 	e.Submit(&core.Query{

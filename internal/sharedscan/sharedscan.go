@@ -34,7 +34,6 @@ import (
 	"math"
 
 	"numacs/internal/exec"
-	"numacs/internal/sim"
 	"numacs/internal/trace"
 )
 
@@ -49,15 +48,15 @@ type Config struct {
 	// AttachFraction bounds mid-flight attachment: an arrival attaches to a
 	// running pass only while the pass has streamed at most this fraction of
 	// its bytes (default 0.75). Beyond it, the wrap-around pass would
-	// re-stream most of the column and sharing stops paying.
+	// re-stream most of the column and sharing stops paying. Zero takes the
+	// default; negative disables attachment (arrivals during a pass always
+	// queue in the forming cohort).
 	AttachFraction float64
-	// MaxCohort caps the members of one pass, attachers included (default
-	// 64); a forming cohort that reaches the cap launches immediately.
-	MaxCohort int
-	// DisableAttach turns off mid-flight attachment (arrivals during a pass
-	// always queue in the forming cohort) — for ablations.
-	DisableAttach bool
 }
+
+// maxCohort caps the members of one pass, attachers included; a forming
+// cohort that reaches the cap launches immediately.
+const maxCohort = 64
 
 // Member is one shareable scan statement handed to the registry: the
 // statement itself, its planned find phase, and the hooks the registry
@@ -134,33 +133,27 @@ type keyState struct {
 // both wirings).
 type Registry struct {
 	cfg   Config
-	sim   *sim.Engine
+	env   *exec.Env
 	byKey map[string]*keyState
 	keys  []*keyState // deterministic Tick order
 	stats Stats
-
-	// Decisions, when non-nil, is the flight recorder's decision log: the
-	// registry records cohort launches, mid-flight attaches, wrap passes,
-	// and join-window sheds with their membership numbers.
-	Decisions *trace.DecisionLog
 }
 
 // New builds a registry on the engine's simulator. Zero config fields take
-// the documented defaults.
-func New(cfg Config, se *sim.Engine) *Registry {
+// the documented defaults. With tracing on (env.Trace), the registry records
+// cohort launches, mid-flight attaches, wrap passes, and join-window sheds,
+// with their membership numbers, in the decision log.
+func New(cfg Config, env *exec.Env) *Registry {
 	if cfg.JoinWindow == 0 {
 		cfg.JoinWindow = 1e-3
 	}
 	if cfg.JoinWindow < 0 {
 		cfg.JoinWindow = 0
 	}
-	if cfg.AttachFraction <= 0 {
+	if cfg.AttachFraction == 0 {
 		cfg.AttachFraction = 0.75
 	}
-	if cfg.MaxCohort <= 0 {
-		cfg.MaxCohort = 64
-	}
-	return &Registry{cfg: cfg, sim: se, byKey: make(map[string]*keyState)}
+	return &Registry{cfg: cfg, env: env, byKey: make(map[string]*keyState)}
 }
 
 // Stats returns the registry outcome counters.
@@ -202,11 +195,11 @@ func (r *Registry) Submit(m *Member) {
 // queues together, so plan-time grouping never splits a detected common
 // subplan and no member waits out a join window for the others.
 func (r *Registry) SubmitGroup(g []*Member) {
-	key, now := g[0].Key, r.sim.Now()
+	key, now := g[0].Key, r.env.Sim.Now()
 	if len(g) > 1 {
 		r.stats.PlanGrouped += uint64(len(g))
-		if r.Decisions != nil {
-			r.Decisions.Record(trace.Decision{
+		if r.env.Trace != nil {
+			r.env.Trace.Decisions.Record(trace.Decision{
 				Time: now, Source: "cohort", Kind: "plan-group", Item: key, From: -1, To: -1,
 				Cause: fmt.Sprintf("planner grouped %d statements on a common subplan", len(g)),
 			})
@@ -219,14 +212,15 @@ func (r *Registry) SubmitGroup(g []*Member) {
 	ks := r.state(key)
 	if c := ks.forming; c != nil {
 		c.members = append(c.members, g...)
-		if len(c.members) >= r.cfg.MaxCohort {
+		if len(c.members) >= maxCohort {
 			ks.forming = nil
 			r.launch(ks, c)
 		}
 		return
 	}
 	if c := ks.running; c != nil {
-		if !r.cfg.DisableAttach && len(c.members)+len(c.attachers)+len(g) <= r.cfg.MaxCohort {
+		if len(c.members)+len(c.attachers)+len(g) <= maxCohort {
+			// Fraction is never negative, so a negative bound never attaches.
 			if f := c.pass.Fraction(); f <= r.cfg.AttachFraction {
 				if f > c.maxMissed {
 					c.maxMissed = f
@@ -237,14 +231,14 @@ func (r *Registry) SubmitGroup(g []*Member) {
 					m.Pipeline.Trace.MarkAttached()
 					m.Pipeline.Trace.MarkCohortLaunched(now)
 				}
-				if r.Decisions != nil {
+				if r.env.Trace != nil {
 					cause := fmt.Sprintf("running pass at %.0f%% of its bytes (attach bound %.0f%%), %d riders",
 						f*100, r.cfg.AttachFraction*100, len(c.attachers))
 					if len(g) > 1 {
 						cause = fmt.Sprintf("plan group of %d attached at %.0f%% of the running pass (attach bound %.0f%%)",
 							len(g), f*100, r.cfg.AttachFraction*100)
 					}
-					r.Decisions.Record(trace.Decision{
+					r.env.Trace.Decisions.Record(trace.Decision{
 						Time: now, Source: "cohort", Kind: "attach", Item: key, From: -1, To: -1, Cause: cause,
 					})
 				}
@@ -298,13 +292,13 @@ func (r *Registry) compactExpired(c *cohort, now float64) []*Member {
 
 // fireSheds counts and fires the shed hooks.
 func (r *Registry) fireSheds(expired []*Member) {
-	now := r.sim.Now()
+	now := r.env.Sim.Now()
 	for _, m := range expired {
 		r.stats.Shed++
 		m.Pipeline.Trace.MarkShed(now, "join-window")
-		if r.Decisions != nil {
+		if r.env.Trace != nil {
 			issued := m.Pipeline.IssuedAt
-			r.Decisions.Record(trace.Decision{
+			r.env.Trace.Decisions.Record(trace.Decision{
 				Time: now, Source: "cohort", Kind: "shed", Item: m.Key, From: -1, To: -1,
 				Cause: fmt.Sprintf("statement waited %.2fms > %.2fms deadline in the join window",
 					(now-issued)*1e3, (m.Deadline-issued)*1e3),
@@ -322,7 +316,7 @@ func (r *Registry) fireSheds(expired []*Member) {
 // ks.running is set before any hook can run, so reentrant submissions see a
 // consistent registry.
 func (r *Registry) launch(ks *keyState, c *cohort) {
-	expired := r.compactExpired(c, r.sim.Now())
+	expired := r.compactExpired(c, r.env.Sim.Now())
 	if len(c.members) == 0 {
 		r.fireSheds(expired)
 		return
@@ -336,12 +330,12 @@ func (r *Registry) launch(ks *keyState, c *cohort) {
 	} else {
 		r.stats.Merged += uint64(len(c.members) - 1)
 	}
-	now := r.sim.Now()
+	now := r.env.Sim.Now()
 	for _, m := range c.members {
 		m.Pipeline.Trace.MarkCohortLaunched(now)
 	}
-	if r.Decisions != nil {
-		r.Decisions.Record(trace.Decision{
+	if r.env.Trace != nil {
+		r.env.Trace.Decisions.Record(trace.Decision{
 			Time: now, Source: "cohort", Kind: "launch", Item: leader.Key, From: -1, To: -1,
 			Cause: fmt.Sprintf("%d members share one pass (fan-out cap %d)",
 				len(c.members), c.pass.FanoutCap),
@@ -373,9 +367,9 @@ func (r *Registry) mainDone(ks *keyState, c *cohort) {
 				startFollower(m, wrap.MemberRegions(i+1))
 			}
 		}
-		if r.Decisions != nil {
-			r.Decisions.Record(trace.Decision{
-				Time: r.sim.Now(), Source: "cohort", Kind: "wrap", Item: al.Key, From: -1, To: -1,
+		if r.env.Trace != nil {
+			r.env.Trace.Decisions.Record(trace.Decision{
+				Time: r.env.Sim.Now(), Source: "cohort", Kind: "wrap", Item: al.Key, From: -1, To: -1,
 				Cause: fmt.Sprintf("%d attachers re-stream the missed %.0f%% prefix",
 					len(c.attachers), c.maxMissed*100),
 			})

@@ -98,7 +98,7 @@ func TestShedWhileWaitingInJoinWindow(t *testing.T) {
 	// A tight OLAP deadline relative to the pass length, and attach disabled
 	// so arrivals during the pass must wait in the join window.
 	e.EnableAdmission(admit.Config{OLAPDeadline: 100e-6, InteractiveDeadline: 100e-6})
-	reg := e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, DisableAttach: true})
+	reg := e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, AttachFraction: -1})
 
 	doneA := false
 	e.Submit(&core.Query{
@@ -161,7 +161,7 @@ func TestJoinWindowShedCauseReportsWait(t *testing.T) {
 	table := workload.Generate(*bigTable(8_000_000))
 	e.Placer.PlaceRR(table)
 	e.EnableAdmission(admit.Config{OLAPDeadline: 100e-6, InteractiveDeadline: 100e-6})
-	e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, DisableAttach: true})
+	e.EnableSharedScans(sharedscan.Config{JoinWindow: 10e-3, AttachFraction: -1})
 	tr := e.EnableTracing(trace.Config{})
 	const start = 1.2
 	e.Sim.Run(start)
