@@ -10,7 +10,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 
 	"numacs/internal/admit"
 	"numacs/internal/chaos"
@@ -278,6 +281,26 @@ func (e *Engine) ItemTraffic() map[string]*ItemTraffic { return e.itemTraffic }
 // ResetItemTraffic clears per-item accounting (used by the adaptive placer
 // between balancing rounds).
 func (e *Engine) ResetItemTraffic() { e.itemTraffic = make(map[string]*ItemTraffic) }
+
+// Fingerprint returns the canonical text of what the simulated machine did:
+// every metrics.Counters field with exact float formatting, the full latency
+// sequence included, then one line per item-traffic entry sorted by name.
+// Equal fingerprints mean bit-identical runs. Layer bookkeeping (cohort
+// stats) and traces are deliberately left out, so an engine with an optional
+// layer switched on can be compared with one that lacks it.
+func (e *Engine) Fingerprint() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "counters %+v\n", *e.Counters)
+	names := make([]string, 0, len(e.itemTraffic))
+	for name := range e.itemTraffic {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "item %s %+v\n", name, *e.itemTraffic[name])
+	}
+	return b.String()
+}
 
 // ConcurrencyHint returns the task-granularity budget for one partitionable
 // operation: the machine's hardware contexts divided by the number of

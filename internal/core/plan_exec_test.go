@@ -44,10 +44,10 @@ func randomStatements(rng *rand.Rand, n int) []*Query {
 // TestPlanRewritesPreserveExecution is the execution half of the rewrite-
 // preservation property: twin fixed-seed engines drive the same random
 // statement mix, one through Submit (full pass pipeline), the other through
-// pass-less lowering + SubmitPipeline (the unoptimized control). Every
-// counter and the full latency distribution must match bit for bit — the
-// optimizer may only change representation on plain statements, never
-// execution.
+// pass-less lowering + SubmitPipeline (the unoptimized control). The engine
+// fingerprints (every counter, the full latency distribution and the
+// per-item traffic) must match bit for bit — the optimizer may only change
+// representation on plain statements, never execution.
 func TestPlanRewritesPreserveExecution(t *testing.T) {
 	const n = 24
 	run := func(optimized bool) *Engine {
@@ -84,27 +84,13 @@ func TestPlanRewritesPreserveExecution(t *testing.T) {
 		e.Sim.Run(0.4)
 		return e
 	}
-	o := run(true).Counters
-	u := run(false).Counters
-	if o.QueriesDone != uint64(n) {
-		t.Fatalf("optimized run completed %d of %d statements", o.QueriesDone, n)
+	o, u := run(true), run(false)
+	if o.Counters.QueriesDone != uint64(n) {
+		t.Fatalf("optimized run completed %d of %d statements", o.Counters.QueriesDone, n)
 	}
-	if o.QueriesDone != u.QueriesDone || o.TasksExecuted != u.TasksExecuted ||
-		o.TasksStolen != u.TasksStolen {
-		t.Fatalf("counts drifted: optimized {q %d, tasks %d} vs unoptimized {q %d, tasks %d}",
-			o.QueriesDone, o.TasksExecuted, u.QueriesDone, u.TasksExecuted)
-	}
-	if o.TotalMCBytes() != u.TotalMCBytes() || o.LLCLocal != u.LLCLocal ||
-		o.LLCRemote != u.LLCRemote || o.LinkDataBytes != u.LinkDataBytes ||
-		o.LinkTotalBytes != u.LinkTotalBytes {
-		t.Fatal("traffic drifted between optimized and unoptimized lowering")
-	}
-	if o.IPC() != u.IPC() || o.WorkerBusySeconds != u.WorkerBusySeconds {
-		t.Fatal("compute drifted between optimized and unoptimized lowering")
-	}
-	if o.Latencies() != u.Latencies() {
-		t.Fatalf("latency distribution drifted:\n optimized   %+v\n unoptimized %+v",
-			o.Latencies(), u.Latencies())
+	if o.Fingerprint() != u.Fingerprint() {
+		t.Fatalf("execution drifted between optimized and unoptimized lowering:\n optimized   %+v\n unoptimized %+v",
+			o.Counters.Latencies(), u.Counters.Latencies())
 	}
 }
 

@@ -26,6 +26,8 @@ type ReplRun struct {
 	BudgetBytes      int64
 	PagesMoved       int64
 	PagesCopied      int64
+	// Fingerprint is the run's Report.Fingerprints line.
+	Fingerprint string
 }
 
 // adaptiveReplWindows is the number of virtual-time windows the experiment
@@ -92,6 +94,7 @@ func RunAdaptiveRepl(s Scale, replicate bool) ReplRun {
 	run.PeakReplicaBytes = placer.PeakReplicaBytes
 	run.PagesMoved = placer.PagesMoved
 	run.PagesCopied = placer.PagesCopied
+	run.Fingerprint = fingerprintLine(label, e)
 	return run
 }
 
@@ -108,6 +111,7 @@ func runAdaptiveRepl(s Scale) *Report {
 
 	base := RunAdaptiveRepl(s, false)
 	repl := RunAdaptiveRepl(s, true)
+	rep.Fingerprints = []string{base.Fingerprint, repl.Fingerprint}
 
 	header := []string{"configuration"}
 	for w := 0; w < adaptiveReplWindows; w++ {

@@ -40,8 +40,8 @@ func admissionDataset(s Scale) workload.DatasetConfig {
 // admission experiment's dataset: 64 closed-loop clients (saturating, no
 // admission control), measured after warmup. The overload rates and the
 // "offered >= 2x capacity" acceptance check are both expressed against this
-// number.
-func MeasureAdmissionCapacity(s Scale) float64 {
+// number. The second result is the probe's Report.Fingerprints line.
+func MeasureAdmissionCapacity(s Scale) (float64, string) {
 	e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
 	table := workload.Generate(admissionDataset(s))
 	e.Placer.PlaceRR(table)
@@ -52,7 +52,7 @@ func MeasureAdmissionCapacity(s Scale) float64 {
 	e.Sim.Run(s.Warmup)
 	e.Counters.Reset()
 	e.Sim.Run(s.Warmup + s.Measure)
-	return float64(e.Counters.QueriesDone) / s.Measure
+	return float64(e.Counters.QueriesDone) / s.Measure, fingerprintLine("capacity probe", e)
 }
 
 // AdmissionTenant is one tenant's measured outcome.
@@ -111,6 +111,9 @@ type AdmissionRun struct {
 	OLAPDeadline        float64
 	InteractiveDeadline float64
 	Measure             float64
+
+	// Fingerprint is the run's Report.Fingerprints line.
+	Fingerprint string
 }
 
 // RunAdmission executes one admission configuration against the probed
@@ -217,6 +220,7 @@ func RunAdmission(s Scale, on bool, capacity float64) AdmissionRun {
 		run.TotalShed = e.Admit.TotalShed
 		run.Trace = e.Admit.Trace
 	}
+	run.Fingerprint = fingerprintLine(label, e)
 	return run
 }
 
@@ -225,9 +229,10 @@ func RunAdmission(s Scale, on bool, capacity float64) AdmissionRun {
 func runAdmission(s Scale) *Report {
 	rep := &Report{ID: "admission", Title: "Statement admission control and elastic concurrency under overload"}
 
-	capacity := MeasureAdmissionCapacity(s)
+	capacity, probe := MeasureAdmissionCapacity(s)
 	off := RunAdmission(s, false, capacity)
 	on := RunAdmission(s, true, capacity)
+	rep.Fingerprints = []string{probe, off.Fingerprint, on.Fingerprint}
 
 	cfgTab := rep.AddTable("offered load vs capacity", []string{
 		"capacity(q/s)", "offered(q/s)", "overload", "OLAP deadline", "interactive deadline"})

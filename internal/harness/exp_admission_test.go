@@ -16,7 +16,7 @@ import (
 // completed throughput, or its own demand when it offers less).
 func checkAdmissionCriteria(t *testing.T, s Scale) {
 	t.Helper()
-	capacity := MeasureAdmissionCapacity(s)
+	capacity, _ := MeasureAdmissionCapacity(s)
 	if capacity <= 0 {
 		t.Fatal("capacity probe returned nothing")
 	}
@@ -109,12 +109,7 @@ func TestAdmissionBypassBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	run := func(admission bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, 25e-6)
-		table := workload.Generate(workload.DatasetConfig{
-			Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-			Seed: 1, Synthetic: true,
-		})
-		e.Placer.PlaceRR(table)
+		e, table := twinEngine()
 		if admission {
 			e.EnableAdmission(admit.Config{
 				Tenants:      []admit.TenantSpec{{Name: "t", Weight: 1}},
@@ -142,26 +137,5 @@ func TestAdmissionBypassBitIdentical(t *testing.T) {
 		t.Fatalf("admission shed %d statements on an uncontended run", st.Shed)
 	}
 
-	d, a := direct.Counters, admitted.Counters
-	if d.QueriesDone != a.QueriesDone || d.TasksExecuted != a.TasksExecuted ||
-		d.TasksStolen != a.TasksStolen {
-		t.Fatalf("counts drifted: direct {q %d, tasks %d, stolen %d} vs admitted {q %d, tasks %d, stolen %d}",
-			d.QueriesDone, d.TasksExecuted, d.TasksStolen,
-			a.QueriesDone, a.TasksExecuted, a.TasksStolen)
-	}
-	if d.TotalMCBytes() != a.TotalMCBytes() || d.LLCLocal != a.LLCLocal ||
-		d.LLCRemote != a.LLCRemote || d.LinkDataBytes != a.LinkDataBytes ||
-		d.LinkTotalBytes != a.LinkTotalBytes {
-		t.Fatalf("traffic drifted: direct {MC %v, LLC %v/%v, link %v/%v} vs admitted {MC %v, LLC %v/%v, link %v/%v}",
-			d.TotalMCBytes(), d.LLCLocal, d.LLCRemote, d.LinkDataBytes, d.LinkTotalBytes,
-			a.TotalMCBytes(), a.LLCLocal, a.LLCRemote, a.LinkDataBytes, a.LinkTotalBytes)
-	}
-	if d.IPC() != a.IPC() || d.WorkerBusySeconds != a.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			d.IPC(), a.IPC(), d.WorkerBusySeconds, a.WorkerBusySeconds)
-	}
-	dl, al := d.Latencies(), a.Latencies()
-	if dl != al {
-		t.Fatalf("latency distributions drifted:\n direct   %+v\n admitted %+v", dl, al)
-	}
+	sameFingerprint(t, direct, admitted)
 }

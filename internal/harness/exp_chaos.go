@@ -72,6 +72,8 @@ type ChaosRun struct {
 	// log, and the windowed time-series the progress counters above are
 	// derived from.
 	Trace *trace.Data
+	// Fingerprint is the run's Report.Fingerprints line.
+	Fingerprint string
 }
 
 // chaosHorizon returns the windowed timeline of a scale.
@@ -91,10 +93,10 @@ func chaosTrace(e *core.Engine, window float64) {
 // runChaosWindows advances the engine over the whole windowed horizon and
 // derives the per-window progress counters from the flight recorder's
 // time-series (chaosTrace wired the sampler to the reporting window), then
-// records the whole-run latency distribution and the recorder's data. The
-// sampler observes the engine at exactly the instants the old per-window
-// loop read the counters, so the derived numbers are bit-identical to the
-// hand-rolled bookkeeping this replaced.
+// records the whole-run latency distribution, the recorder's data and the
+// engine's fingerprint line. The sampler observes the engine at exactly the
+// instants the old per-window loop read the counters, so the derived numbers
+// are bit-identical to the hand-rolled bookkeeping this replaced.
 func runChaosWindows(e *core.Engine, run *ChaosRun, window float64) {
 	e.Sim.Run(float64(chaosWindows) * window)
 	e.Trace.Sampler.Flush(e.Sim.Now())
@@ -108,6 +110,7 @@ func runChaosWindows(e *core.Engine, run *ChaosRun, window float64) {
 	}
 	run.Latency = e.Counters.Latencies()
 	run.Trace = e.Trace.Data()
+	run.Fingerprint = fingerprintLine(run.Label, e)
 }
 
 // meanTP averages the per-window throughput over [from, to).
@@ -144,6 +147,7 @@ func chaosDataset(s Scale) workload.DatasetConfig {
 // chaosReport renders the shared control-vs-faulted tables of a chaos
 // experiment.
 func chaosReport(rep *Report, control, faulted ChaosRun) {
+	rep.Fingerprints = append(rep.Fingerprints, control.Fingerprint, faulted.Fingerprint)
 	header := []string{"configuration"}
 	for w := 0; w < chaosWindows; w++ {
 		tag := ""

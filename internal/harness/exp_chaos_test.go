@@ -40,12 +40,7 @@ func TestChaosDisabledBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	run := func(withChaos bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, 25e-6)
-		table := workload.Generate(workload.DatasetConfig{
-			Rows: 60_000, Columns: 16, BitcaseMin: 12, BitcaseMax: 18,
-			Seed: 1, Synthetic: true,
-		})
-		e.Placer.PlaceRR(table)
+		e, table := twinEngine()
 		if withChaos {
 			e.EnableChaos(chaos.Config{}, table)
 		}
@@ -62,27 +57,7 @@ func TestChaosDisabledBitIdentical(t *testing.T) {
 	if got := len(inert.Chaos.Applied); got != 0 {
 		t.Fatalf("inert injector applied %d events", got)
 	}
-	d, s := plain.Counters, inert.Counters
-	if d.QueriesDone != s.QueriesDone || d.TasksExecuted != s.TasksExecuted ||
-		d.TasksStolen != s.TasksStolen {
-		t.Fatalf("counts drifted: plain {q %d, tasks %d, stolen %d} vs chaos-enabled {q %d, tasks %d, stolen %d}",
-			d.QueriesDone, d.TasksExecuted, d.TasksStolen,
-			s.QueriesDone, s.TasksExecuted, s.TasksStolen)
-	}
-	if d.TotalMCBytes() != s.TotalMCBytes() || d.LLCLocal != s.LLCLocal ||
-		d.LLCRemote != s.LLCRemote || d.LinkDataBytes != s.LinkDataBytes ||
-		d.LinkTotalBytes != s.LinkTotalBytes {
-		t.Fatalf("traffic drifted: plain MC %v vs chaos-enabled MC %v",
-			d.TotalMCBytes(), s.TotalMCBytes())
-	}
-	if d.IPC() != s.IPC() || d.WorkerBusySeconds != s.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			d.IPC(), s.IPC(), d.WorkerBusySeconds, s.WorkerBusySeconds)
-	}
-	if d.Latencies() != s.Latencies() {
-		t.Fatalf("latency distribution drifted:\n plain %+v\n chaos-enabled %+v",
-			d.Latencies(), s.Latencies())
-	}
+	sameFingerprint(t, plain, inert)
 }
 
 // assertProgress is the livelock/deadlock watchdog: every reporting window

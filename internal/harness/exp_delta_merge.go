@@ -90,6 +90,8 @@ type DeltaMergeRun struct {
 	FinalDeltaBytes  int64
 	Inserts, Updates uint64
 	RowsGrownTo      int
+	// Fingerprint is the run's Report.Fingerprints line.
+	Fingerprint string
 }
 
 // RunDeltaMerge executes one delta-merge configuration on the 4-socket
@@ -183,6 +185,7 @@ func RunDeltaMerge(s Scale, writes bool) DeltaMergeRun {
 	if writers != nil {
 		run.Inserts, run.Updates = writers.Inserts, writers.Updates
 	}
+	run.Fingerprint = fingerprintLine(label, e)
 	return run
 }
 
@@ -204,6 +207,7 @@ func runDeltaMerge(s Scale) *Report {
 
 	base := RunDeltaMerge(s, false)
 	mixed := RunDeltaMerge(s, true)
+	rep.Fingerprints = []string{base.Fingerprint, mixed.Fingerprint}
 
 	header := []string{"configuration"}
 	for w := 0; w < deltaMergeWindows; w++ {

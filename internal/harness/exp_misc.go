@@ -23,7 +23,7 @@ func runFig19(s Scale) *Report {
 	granularities := []int{1, 2, 4, 8, 16} // 1 = RR
 	strategies := []core.Strategy{core.Target, core.Bound}
 
-	runQ1 := func(gran int, st core.Strategy) float64 {
+	runQ1 := func(gran int, st core.Strategy) *core.Engine {
 		e := core.NewWithStep(SixteenSocket.Build(), 1, s.Step32)
 		table := agg.Q1Table(agg.Q1Config{Rows: s.Rows32, Seed: 1})
 		if gran == 1 {
@@ -36,9 +36,9 @@ func runFig19(s Scale) *Report {
 		e.Sim.Run(s.Warmup)
 		e.Counters.Reset()
 		e.Sim.Run(s.Warmup + s.Measure)
-		return e.Counters.ThroughputQPM(s.Measure)
+		return e
 	}
-	runBWEML := func(gran int, st core.Strategy) float64 {
+	runBWEML := func(gran int, st core.Strategy) *core.Engine {
 		e := core.NewWithStep(SixteenSocket.Build(), 1, s.Step32)
 		cubes := agg.BWEMLCubes(agg.BWEMLConfig{RowsPerCube: s.Rows32, Seed: 1})
 		for ci, cube := range cubes {
@@ -54,16 +54,24 @@ func runFig19(s Scale) *Report {
 		e.Sim.Run(s.Warmup)
 		e.Counters.Reset()
 		e.Sim.Run(s.Warmup + s.Measure)
-		return e.Counters.ThroughputQPM(s.Measure)
+		return e
 	}
 
-	render := func(name string, run func(int, core.Strategy) float64) map[string]float64 {
+	layout := func(g int) string {
+		if g == 1 {
+			return "RR"
+		}
+		return fmt.Sprintf("PP%d", g)
+	}
+	render := func(name, short string, run func(int, core.Strategy) *core.Engine) {
 		raw := map[string]float64{}
 		max := 0.0
 		for _, g := range granularities {
 			for _, st := range strategies {
-				v := run(g, st)
+				e := run(g, st)
+				v := e.Counters.ThroughputQPM(s.Measure)
 				raw[key19(g, st)] = v
+				rep.Fingerprints = append(rep.Fingerprints, fingerprintLine(short+" "+layout(g)+" "+st.String(), e))
 				if v > max {
 					max = v
 				}
@@ -71,20 +79,13 @@ func runFig19(s Scale) *Report {
 		}
 		tb := rep.AddTable(name, []string{"placement", "Target", "Bound"})
 		for _, g := range granularities {
-			label := "RR"
-			if g > 1 {
-				label = fmt.Sprintf("PP%d", g)
-			}
-			tb.AddRow(label,
+			tb.AddRow(layout(g),
 				fmt.Sprintf("%.2f", raw[key19(g, core.Target)]/max),
 				fmt.Sprintf("%.2f", raw[key19(g, core.Bound)]/max))
 		}
-		return raw
 	}
-	q1 := render("TPC-H Q1 instances (normalized to c1)", runQ1)
-	bw := render("BW-EML reporting load (normalized to c2)", runBWEML)
-	_ = q1
-	_ = bw
+	render("TPC-H Q1 instances (normalized to c1)", "Q1", runQ1)
+	render("BW-EML reporting load (normalized to c2)", "BW-EML", runBWEML)
 	return rep
 }
 
@@ -120,7 +121,9 @@ func runTable2(s Scale) *Report {
 		spec.Strategy = core.Bound
 		spec.Clients = s.Max
 		spec.Selectivity = lowSel
-		evidence[p.String()] = Run(spec)
+		r := Run(spec)
+		rep.addResults(r)
+		evidence[p.String()] = r
 	}
 	ds := workload.DatasetConfig{Rows: 40_000, Columns: 8, BitcaseMin: 8, BitcaseMax: 14, Seed: 3}
 	real := workload.Generate(ds)
@@ -218,7 +221,7 @@ func runRepart(s Scale) *Report {
 func runAdaptive(s Scale) *Report {
 	rep := &Report{ID: "adaptive", Title: "Static RR vs adaptive data placement (skewed workload)"}
 
-	run := func(adapt bool) (float64, []adaptive.Action, []float64) {
+	run := func(adapt bool, label string) (float64, []adaptive.Action, []float64) {
 		e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
 		ds := scaledDataset(FourSocket, s.Rows, false)
 		ds.Synthetic = true
@@ -246,11 +249,12 @@ func runAdaptive(s Scale) *Report {
 		if placer != nil {
 			actions = placer.Actions
 		}
+		rep.Fingerprints = append(rep.Fingerprints, fingerprintLine(label, e))
 		return e.Counters.ThroughputQPM(s.Measure), actions, e.Counters.MemoryThroughputGiBs(s.Measure)
 	}
 
-	staticTP, _, staticMem := run(false)
-	adaptTP, actions, adaptMem := run(true)
+	staticTP, _, staticMem := run(false, "static RR")
+	adaptTP, actions, adaptMem := run(true, "adaptive")
 
 	tb := rep.AddTable("", []string{"configuration", "TP(q/min)", "per-socket memTP (GiB/s)"})
 	tb.AddRow("static RR", f0(staticTP), fmtSockets(staticMem))

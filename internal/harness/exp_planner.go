@@ -146,6 +146,9 @@ type PlannerRun struct {
 	Cohorts            sharedscan.Stats
 	CohortedStatements uint64
 	MeanCohort         float64
+
+	// Fingerprint is the run's Report.Fingerprints line.
+	Fingerprint string
 }
 
 // RunPlanner executes the mixed script workload in one submission mode.
@@ -222,6 +225,7 @@ func RunPlanner(s Scale, planDriven bool) PlannerRun {
 	if run.QueriesDone > 0 {
 		run.BytesPerQuery = e.Counters.TotalMCBytes() / float64(run.QueriesDone)
 	}
+	run.Fingerprint = fingerprintLine(label, e)
 	return run
 }
 
@@ -239,6 +243,7 @@ func runPlanner(s Scale) *Report {
 	}
 	timing := RunPlanner(s, false)
 	planned := RunPlanner(s, true)
+	rep.Fingerprints = []string{timing.Fingerprint, planned.Fingerprint}
 
 	tb := rep.AddTable("submission modes", []string{
 		"mode", "done", "q/min", "KiB/query", "p50", "p99"})

@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"numacs/internal/colstore"
 	"numacs/internal/core"
 	"numacs/internal/join"
 )
@@ -19,82 +18,13 @@ func TestStarJoinPlannerBitIdentical(t *testing.T) {
 		t.Skip("fixed-seed simulation runs")
 	}
 	s := QuickScale()
-	run := func(planned bool) *core.Engine {
-		e := core.NewWithStep(FourSocket.Build(), 1, s.Step)
-		sockets := []int{0, 1, 2, 3}
-		dim := colstore.NewTable("DIM", []*colstore.Column{
-			colstore.NewSynthetic("D_DATE", s.Rows/4, 1<<12, false),
-			colstore.NewSynthetic("D_ID", s.Rows/4, 1<<14, false),
-		})
-		fact := colstore.NewTable("FACT", []*colstore.Column{
-			colstore.NewSynthetic("F_FK", s.Rows, 1<<14, false),
-		})
-		for _, c := range dim.Parts[0].Columns {
-			e.Placer.PlaceIVP(c, sockets)
-		}
-		e.Placer.PlaceIVP(fact.Parts[0].Columns[0], sockets)
+	hand := runStarJoinCell(s, []int{0}, core.Bound, join.ExecuteStarUnplanned)
+	planned := runStarJoinCell(s, []int{0}, core.Bound, join.ExecuteStar)
 
-		clients := 32
-		inflight := 0
-		var issue func(client int)
-		issue = func(client int) {
-			if inflight >= clients {
-				return
-			}
-			inflight++
-			spec := join.StarSpec{
-				Dim: dim, DimPredicate: "D_DATE", DimKey: "D_ID",
-				Fact: fact, FactFK: "F_FK",
-				Selectivity:     0.05,
-				HitsPerProbeRow: 1,
-				AggBytesPerRow:  12, AggCyclesPerRow: 24,
-				HTSockets:  []int{0},
-				Strategy:   core.Bound,
-				HomeSocket: client % e.Machine.Sockets,
-				OnDone:     func(float64) { inflight--; issue(client) },
-			}
-			if planned {
-				join.ExecuteStar(e, spec)
-			} else {
-				join.ExecuteStarUnplanned(e, spec)
-			}
-		}
-		for i := 0; i < clients; i++ {
-			issue(i)
-		}
-		e.Sim.Run(s.Warmup)
-		e.Counters.Reset()
-		e.Sim.Run(s.Warmup + s.Measure)
-		return e
-	}
-	hand := run(false)
-	planned := run(true)
-
-	h, p := hand.Counters, planned.Counters
-	if h.QueriesDone == 0 {
+	if hand.Counters.QueriesDone == 0 {
 		t.Fatal("no statements completed")
 	}
-	if h.QueriesDone != p.QueriesDone || h.TasksExecuted != p.TasksExecuted ||
-		h.TasksStolen != p.TasksStolen {
-		t.Fatalf("counts drifted: hand {q %d, tasks %d, stolen %d} vs planned {q %d, tasks %d, stolen %d}",
-			h.QueriesDone, h.TasksExecuted, h.TasksStolen,
-			p.QueriesDone, p.TasksExecuted, p.TasksStolen)
-	}
-	if h.TotalMCBytes() != p.TotalMCBytes() || h.LLCLocal != p.LLCLocal ||
-		h.LLCRemote != p.LLCRemote || h.LinkDataBytes != p.LinkDataBytes ||
-		h.LinkTotalBytes != p.LinkTotalBytes {
-		t.Fatalf("traffic drifted: hand {MC %v, LLC %v/%v, link %v/%v} vs planned {MC %v, LLC %v/%v, link %v/%v}",
-			h.TotalMCBytes(), h.LLCLocal, h.LLCRemote, h.LinkDataBytes, h.LinkTotalBytes,
-			p.TotalMCBytes(), p.LLCLocal, p.LLCRemote, p.LinkDataBytes, p.LinkTotalBytes)
-	}
-	if h.IPC() != p.IPC() || h.WorkerBusySeconds != p.WorkerBusySeconds {
-		t.Fatalf("compute drifted: IPC %v vs %v, busy %v vs %v",
-			h.IPC(), p.IPC(), h.WorkerBusySeconds, p.WorkerBusySeconds)
-	}
-	if h.Latencies() != p.Latencies() {
-		t.Fatalf("latency distribution drifted:\n hand    %+v\n planned %+v",
-			h.Latencies(), p.Latencies())
-	}
+	sameFingerprint(t, hand, planned)
 }
 
 // checkPlannerCriteria asserts the planner experiment's acceptance criteria

@@ -62,6 +62,9 @@ type SharedScanRun struct {
 	// only); MeanCohort is statements per physical pass.
 	Cohorts    sharedscan.Stats
 	MeanCohort float64
+
+	// Fingerprint is the run's Report.Fingerprints line.
+	Fingerprint string
 }
 
 // RunSharedScan executes one shared-scan configuration: clients closed-loop
@@ -102,6 +105,7 @@ func RunSharedScan(s Scale, on bool, clients int) SharedScanRun {
 		run.Cohorts = reg.Stats()
 		run.MeanCohort = reg.MeanCohort()
 	}
+	run.Fingerprint = fingerprintLine(fmt.Sprintf("%s %dcl", label, clients), e)
 	return run
 }
 
@@ -119,6 +123,9 @@ func runSharedScan(s Scale) *Report {
 	var runs []SharedScanRun
 	for _, n := range sweep {
 		runs = append(runs, RunSharedScan(s, false, n), RunSharedScan(s, true, n))
+	}
+	for _, r := range runs {
+		rep.Fingerprints = append(rep.Fingerprints, r.Fingerprint)
 	}
 
 	tb := rep.AddTable("throughput and physical traffic vs concurrency", []string{

@@ -16,7 +16,7 @@ func runFig15(s Scale) *Report {
 		{PlacementSpec{Kind: RR}, core.Target},
 		{PlacementSpec{Kind: RR}, core.Bound},
 	}, lowSel, true)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string { return r.Spec.Strategy.String() }
 	tpSweepTable(rep, "throughput (q/min)", results, s, label)
 	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
@@ -37,7 +37,7 @@ func runFig16(s Scale) *Report {
 		{PlacementSpec{Kind: IVP, Partitions: 4}, core.Bound},
 		{PlacementSpec{Kind: PP, Partitions: 4}, core.Bound},
 	}, lowSel, true)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string { return r.Spec.Placement.String() }
 	tpSweepTable(rep, "throughput (q/min)", results, s, label)
 	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
@@ -59,7 +59,7 @@ func runFig17(s Scale) *Report {
 		{PlacementSpec{Kind: IVP, Partitions: 4}, core.Bound},
 		{PlacementSpec{Kind: PP, Partitions: 4}, core.Bound},
 	}, highSel, true)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string { return r.Spec.Placement.String() }
 	tpSweepTable(rep, "throughput (q/min)", results, s, label)
 	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
@@ -76,7 +76,7 @@ func runFig18(s Scale) *Report {
 		{PlacementSpec{Kind: IVP, Partitions: 4}, core.Target},
 		{PlacementSpec{Kind: PP, Partitions: 4}, core.Target},
 	}, highSel, true)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string { return r.Spec.Placement.String() }
 	tpSweepTable(rep, "throughput (q/min)", results, s, label)
 	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)

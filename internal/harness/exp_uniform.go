@@ -114,7 +114,7 @@ func runFig1(s Scale) *Report {
 		{PlacementSpec{Kind: RR}, core.OSched},
 		{PlacementSpec{Kind: RR}, core.Bound},
 	}, lowSel, false)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string {
 		if r.Spec.Strategy == core.OSched {
 			return "NUMA-agnostic"
@@ -139,7 +139,7 @@ func runFig8(s Scale) *Report {
 		{PlacementSpec{Kind: RR}, core.Target},
 		{PlacementSpec{Kind: RR}, core.Bound},
 	}, lowSel, false)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string { return r.Spec.Strategy.String() }
 	tpSweepTable(rep, "throughput (q/min)", results, s, label)
 	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
@@ -159,7 +159,7 @@ func runFig9(s Scale) *Report {
 		{PlacementSpec{Kind: RR}, core.Target},
 		{PlacementSpec{Kind: RR}, core.Bound},
 	}, lowSel, false)
-	rep.Results = results
+	rep.addResults(results...)
 	label := func(r Result) string { return r.Spec.Strategy.String() }
 	tpSweepTable(rep, "throughput (q/min)", results, s, label)
 	addMetricsTable(rep, fmt.Sprintf("performance metrics, %d clients", s.Max), filterMax(results, s.Max), label)
@@ -183,7 +183,7 @@ func runFig10(s Scale) *Report {
 		rs := sweepStrategies(b, s, combos, lowSel, false)
 		all = append(all, rs...)
 	}
-	rep.Results = all
+	rep.addResults(all...)
 	label := func(r Result) string {
 		mode := "w/ par"
 		if !r.Spec.Parallel {
@@ -226,7 +226,7 @@ func runFig11(s Scale) *Report {
 			spec.Clients = n
 			spec.Selectivity = lowSel
 			r := Run(spec)
-			rep.Results = append(rep.Results, r)
+			rep.addResults(r)
 			l := r.Latency
 			tb.AddRow(p.String(), itoa(n), ms(l.Mean), ms(l.P5), ms(l.P25), ms(l.P50),
 				ms(l.P75), ms(l.P95), ms(l.Max), f2(l.CoeffOfVariation))
@@ -258,7 +258,7 @@ func runFig12(s Scale) *Report {
 			spec.Clients = s.Max
 			spec.Selectivity = lowSel
 			r := Run(spec)
-			rep.Results = append(rep.Results, r)
+			rep.addResults(r)
 			row = append(row, f0(r.QPM))
 		}
 		tb.AddRow(row...)
@@ -276,7 +276,7 @@ func runFig13(s Scale) *Report {
 			{PlacementSpec{Kind: IVP, Partitions: 8}, st},
 			{PlacementSpec{Kind: IVP, Partitions: 32}, st},
 		}, lowSel, false)
-		rep.Results = append(rep.Results, results...)
+		rep.addResults(results...)
 		tpSweepTable(rep, st.String()+" throughput (q/min)", results, s,
 			func(r Result) string { return r.Spec.Placement.String() })
 	}
@@ -299,7 +299,7 @@ func runFig14(s Scale) *Report {
 		spec.Selectivity = sel
 		spec.UseIndex = true
 		r := Run(spec)
-		rep.Results = append(rep.Results, r)
+		rep.addResults(r)
 		path := "scan"
 		if sel <= core.DefaultCosts().IndexSelectivityThreshold {
 			path = "index"

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -8,7 +9,10 @@ import (
 )
 
 // TestAllExperimentsRunAndRender executes every registered experiment at
-// quick scale: each must produce at least one non-empty table and render.
+// quick scale: each must produce at least one non-empty table and render,
+// and on amd64 its fingerprint lines must match the committed
+// testdata/fingerprints/<id>.txt (arm64 builds fuse multiply-adds and drift
+// in the last float bits).
 func TestAllExperimentsRunAndRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
@@ -37,6 +41,9 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 			out := rep.Render()
 			if !strings.Contains(out, e.ID) {
 				t.Fatal("render missing id")
+			}
+			if runtime.GOARCH == "amd64" {
+				checkFingerprints(t, rep)
 			}
 		})
 	}

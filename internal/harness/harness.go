@@ -5,6 +5,8 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"numacs/internal/core"
@@ -136,6 +138,30 @@ type Result struct {
 	Latency     metrics.LatencyStats
 	TableBytes  int64 // dataset footprint after placement (PP duplication)
 	QueriesDone uint64
+	// Fingerprint is the cell's Report.Fingerprints line.
+	Fingerprint string
+}
+
+// label names the cell in its fingerprint line.
+func (s Spec) label() string {
+	l := fmt.Sprintf("%s %s %s %dcl sel=%g", s.Machine, s.Placement, s.Strategy, s.Clients, s.Selectivity)
+	if !s.Parallel {
+		l += " serial"
+	}
+	if s.UseIndex {
+		l += " index"
+	}
+	if s.Skew {
+		l += " skew"
+	}
+	return l
+}
+
+// fingerprintLine is one Report.Fingerprints entry: the cell label and the
+// hex of the first 16 bytes of the SHA-256 of the engine's fingerprint.
+func fingerprintLine(label string, e *core.Engine) string {
+	sum := sha256.Sum256([]byte(e.Fingerprint()))
+	return label + " " + hex.EncodeToString(sum[:16])
 }
 
 // Run executes one experiment cell from scratch: build machine + engine,
@@ -236,6 +262,7 @@ func Run(spec Spec) Result {
 		Latency:     c.Latencies(),
 		TableBytes:  table.TotalBytes(),
 		QueriesDone: c.QueriesDone,
+		Fingerprint: fingerprintLine(spec.label(), e),
 	}
 }
 

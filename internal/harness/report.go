@@ -24,6 +24,11 @@ type Report struct {
 	Tables      []*TableBlock
 	Results     []Result
 
+	// Fingerprints holds one line per engine the experiment ran, in run
+	// order: the cell label and a hash of core.Engine.Fingerprint. The
+	// committed testdata/fingerprints/<id>.txt goldens pin them.
+	Fingerprints []string
+
 	// Trace is the experiment's flight-recorder data when the experiment
 	// records one (the chaos suite attaches its faulted run's recorder);
 	// scanbench -trace exports it as JSONL and a Chrome trace file.
@@ -33,6 +38,15 @@ type Report struct {
 	// detection, SLO verdicts, blame decomposition) when the experiment runs
 	// one; scanbench -triage renders it and -json carries it structured.
 	Triage *insight.TriageReport `json:",omitempty"`
+}
+
+// addResults appends harness.Run cells to the results and their lines to
+// the fingerprints.
+func (r *Report) addResults(rs ...Result) {
+	for _, res := range rs {
+		r.Results = append(r.Results, res)
+		r.Fingerprints = append(r.Fingerprints, res.Fingerprint)
+	}
 }
 
 // AddTable appends a table block.

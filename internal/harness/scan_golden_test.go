@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -39,13 +38,13 @@ type scanGolden struct {
 // attachers missed nothing. One scenario runs the admitted statement paths
 // together: cohort scans under admission with deadlines that shed in the
 // queue and in the join window, admitted write batches, and SubmitPipeline
-// statements. The digest covers every metrics.Counters
-// field with exact float formatting and the full latency sequence (fmt's
-// %+v prints the unexported samples), the per-item traffic attribution, the
-// sharedscan.Stats, every statement span (phase labels included) and the
-// decision log. The simulation is deterministic, so any refactor of the scan
-// operators must leave every digest unchanged. The goldens are amd64
-// digests: arm64 builds fuse multiply-adds and drift in the last float bits.
+// statements. The digest covers the engine's Fingerprint (every
+// metrics.Counters field with exact float formatting, the full latency
+// sequence and the per-item traffic attribution), the sharedscan.Stats,
+// every statement span (phase labels included) and the decision log. The
+// simulation is deterministic, so any refactor of the scan operators must
+// leave every digest unchanged. The goldens are amd64 digests: arm64 builds
+// fuse multiply-adds and drift in the last float bits.
 func TestScanOperatorsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixed-seed simulation runs")
@@ -334,20 +333,12 @@ func mustShare(t *testing.T, e *core.Engine) {
 	t.Fatal("every wrap pass re-streamed an empty prefix")
 }
 
-// scanDigest hashes the engine's observable outcome and returns the digest
-// with a readable summary for failure messages.
+// scanDigest hashes the engine's fingerprint plus the layer bookkeeping
+// and trace it leaves out, and returns the digest with a readable summary
+// for failure messages.
 func scanDigest(e *core.Engine) (string, string) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "counters %+v\n", *e.Counters)
-	items := e.ItemTraffic()
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "item %s %+v\n", k, *items[k])
-	}
+	b.WriteString(e.Fingerprint())
 	var stats sharedscan.Stats
 	if e.Shared != nil {
 		stats = e.Shared.Stats()

@@ -68,10 +68,13 @@ func New(e *sim.Engine, m *topology.Machine) *Hardware {
 			}
 			for li, w := range perLink {
 				h.bcast[src] = append(h.bcast[src], sim.Demand{Resource: h.Link[li], Weight: w})
-				h.bcastLinks[src] += w
 			}
-			// Deterministic order.
+			// Deterministic order, and a float sum that does not depend on
+			// map iteration order.
 			sortDemands(h.bcast[src])
+			for _, d := range h.bcast[src] {
+				h.bcastLinks[src] += d.Weight
+			}
 		}
 	}
 	return h

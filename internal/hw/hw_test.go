@@ -102,6 +102,29 @@ func TestBroadcastSnoopAddsLinkDemandsToLocalStreams(t *testing.T) {
 	}
 }
 
+// TestBroadcastLinkTotalsDeterministic pins the snoop link totals bit for
+// bit across constructions: they must not depend on map iteration order.
+func TestBroadcastLinkTotalsDeterministic(t *testing.T) {
+	m := topology.EightSocketWestmere()
+	totals := func() []float64 {
+		h := New(sim.New(1e-4), m)
+		out := make([]float64, m.Sockets)
+		for src := range out {
+			_, lt := h.StreamDemands(src, src, sim.Invalid, 0)
+			out[src] = lt.Total
+		}
+		return out
+	}
+	want := totals()
+	for i := 0; i < 50; i++ {
+		for src, got := range totals() {
+			if got != want[src] {
+				t.Fatalf("construction %d: socket %d link total %v, first construction %v", i, src, got, want[src])
+			}
+		}
+	}
+}
+
 func TestDirectoryMachineHasNoSnoopOnLocal(t *testing.T) {
 	m := topology.FourSocketIvyBridge()
 	e := sim.New(1e-4)

@@ -42,7 +42,7 @@ func TestOfflineDrainsQueuedTasks(t *testing.T) {
 	if n := s.SetSocketOnline(1, false); n != 6 {
 		t.Fatalf("drained %d tasks, want 6", n)
 	}
-	if got := s.ParkedWorkers(); got != topology.FourSocketIvyBridge().ThreadsPerSocket() {
+	if got := s.Saturation().Parked; got != topology.FourSocketIvyBridge().ThreadsPerSocket() {
 		t.Fatalf("%d workers parked, want the whole socket", got)
 	}
 	e.Step()
@@ -65,8 +65,8 @@ func TestOnlineRestoresSocket(t *testing.T) {
 	s, e := testSched(topology.FourSocketIvyBridge())
 	s.SetSocketOnline(2, false)
 	s.SetSocketOnline(2, true)
-	if s.ParkedWorkers() != 0 {
-		t.Fatalf("%d workers still parked after online", s.ParkedWorkers())
+	if s.Saturation().Parked != 0 {
+		t.Fatalf("%d workers still parked after online", s.Saturation().Parked)
 	}
 	var ran []int
 	for i := 0; i < 4; i++ {
@@ -95,13 +95,13 @@ func TestWorkerParksAfterTaskWhenOffline(t *testing.T) {
 	if finish == nil {
 		t.Fatal("task never dispatched")
 	}
-	if s.WorkingWorkers() != 1 {
-		t.Fatalf("%d working workers, want 1", s.WorkingWorkers())
+	if s.Saturation().Working != 1 {
+		t.Fatalf("%d working workers, want 1", s.Saturation().Working)
 	}
 	s.SetSocketOnline(0, false)
 	finish()
 	want := topology.FourSocketIvyBridge().ThreadsPerSocket()
-	if got := s.ParkedWorkers(); got != want {
+	if got := s.Saturation().Parked; got != want {
 		t.Fatalf("%d workers parked after finish, want %d", got, want)
 	}
 }

@@ -30,7 +30,7 @@ func TestStealPrefersSameSocket(t *testing.T) {
 		}
 	}
 	e.Step()
-	if got := s.FreeWorkers(); got != 1 {
+	if got := s.Saturation().Free; got != 1 {
 		t.Fatalf("setup: %d free workers, want exactly 1 (on socket 3)", got)
 	}
 
@@ -121,15 +121,15 @@ func TestQueuedTasksAccounting(t *testing.T) {
 			Run: func(w *Worker, done func()) {}})
 	}
 	// Nothing dispatched yet.
-	if got := s.QueuedTasks(); got != 200 {
+	if got := s.Saturation().Queued; got != 200 {
 		t.Fatalf("queued = %d before dispatch", got)
 	}
 	e.Step()
 	// 30 workers on socket 2 started tasks (they never finish).
-	if got := s.WorkingWorkers(); got != 30 {
+	if got := s.Saturation().Working; got != 30 {
 		t.Fatalf("working = %d, want 30", got)
 	}
-	if got := s.QueuedTasks(); got != 170 {
+	if got := s.Saturation().Queued; got != 170 {
 		t.Fatalf("queued = %d, want 170", got)
 	}
 }
@@ -166,9 +166,6 @@ func TestSaturationSnapshot(t *testing.T) {
 	}
 	if len(snap.QueueDepths) != len(s.TGs) || snap.QueueDepths[1] != 12 {
 		t.Fatalf("per-TG depths = %v, want 12 on TG 1", snap.QueueDepths)
-	}
-	if s.FreeWorkers() != snap.Free || s.ParkedWorkers() != snap.Parked {
-		t.Fatal("FreeWorkers/ParkedWorkers disagree with the snapshot")
 	}
 	bySocket := s.SocketQueueDepths()
 	if len(bySocket) != m.Sockets || bySocket[1] != 12 || bySocket[0] != 0 {

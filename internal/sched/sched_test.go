@@ -281,7 +281,7 @@ func TestAsyncTaskCompletion(t *testing.T) {
 	if s.Counters.WorkerBusySeconds <= 0 {
 		t.Fatal("busy time not recorded")
 	}
-	if s.WorkingWorkers() != 0 {
+	if s.Saturation().Working != 0 {
 		t.Fatal("worker not released")
 	}
 }
